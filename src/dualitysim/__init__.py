@@ -49,6 +49,7 @@ from .montecarlo import (
     SwitchTrace,
     cell_rng,
     click_probabilities,
+    click_probs,
     effective_mean_photons,
     expected_counts,
     multi_photon_fraction,
@@ -69,8 +70,10 @@ from .optics import (
     detection_probs_closed_form,
     detector_ports,
     fringe_extrema,
+    open_p1,
     path_blocker,
     raw_detection_probs,
+    raw_probs,
     sagnac_effective,
     standard_elements,
     state_detection_probs,

@@ -10,9 +10,10 @@ header row, LF line endings, '.' decimal separator, floats serialized with
 shortest round-trip precision (17 significant digits); report.json mirrors
 every CSV quantity plus provenance (seed, config hash).
 
-Exit codes: 0 success; 1 bad configuration; 2 a physically generated run
-violated the entropic bound or the duality trade-off beyond tolerance, which
-signals a simulator bug; 3 I/O failure.
+Exit codes: 0 success; 1 bad configuration, or count data too degenerate to
+estimate from; 2 a physically generated run violated the entropic bound or
+the duality trade-off beyond tolerance, which signals a simulator bug; 3 I/O
+failure.
 """
 from __future__ import annotations
 
@@ -29,8 +30,8 @@ from pathlib import Path
 import numpy as np
 
 from .entropy import h_max_from_visibility, h_min_from_distinguishability
-from .errors import ConfigError, ContractViolation
-from .estimators import DualityReport, duality_report
+from .errors import ConfigError, ContractViolation, EstimationError
+from .estimators import MIN_FRINGE_POINTS, DualityReport, duality_report
 from .montecarlo import (
     IDEAL_MODE,
     MODES,
@@ -84,8 +85,8 @@ class SwitchPlan:
     bin_seconds: float = 0.2
 
     def __post_init__(self):
-        if min(self.duration_s, self.toggle_period_s, self.triangle_period_s, self.bin_seconds) <= 0:
-            raise ConfigError("switch: all durations and periods must be positive")
+        if not all(math.isfinite(x) and x > 0 for x in dataclasses.astuple(self)):
+            raise ConfigError("all durations and periods must be finite and positive")
 
 
 @dataclass(frozen=True)
@@ -107,6 +108,11 @@ class ExperimentConfig:
             missing = [b for b in BLOCKS if b not in self.plan.blocks]
             if missing:
                 raise ConfigError(f"plan.blocks: scenario {self.scenario!r} needs all block settings, missing {missing}")
+            if self.plan.pulses_per_point == 0:
+                raise ConfigError(f"plan.pulses_per_point: scenario {self.scenario!r} needs at least one pulse")
+            start, stop, steps = self.plan.phi_x_grid
+            if steps < MIN_FRINGE_POINTS or stop - start < 2.0 * math.pi - 1e-9:
+                raise ConfigError(f"plan.phi_x_grid: visibility needs {MIN_FRINGE_POINTS}+ steps over a 2pi period")
         if self.scenario == "switch" and self.mode == IDEAL_MODE:
             raise ConfigError("mode: the switch scenario is a sampled time series; use montecarlo")
 
@@ -114,9 +120,7 @@ class ExperimentConfig:
 def _build(section: str, cls, kwargs):
     try:
         return cls(**kwargs)
-    except TypeError as exc:
-        raise ConfigError(f"{section}: {exc}") from None
-    except (ContractViolation, ConfigError) as exc:
+    except (TypeError, ContractViolation, ConfigError) as exc:
         raise ConfigError(f"{section}: {exc}") from None
 
 
@@ -130,6 +134,8 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
 
     plan_raw = dict(raw.get("plan", {}))
     phi_s = plan_raw.pop("phi_s_values", DEFAULT_PHI_S)
+    if not isinstance(phi_s, (list, tuple)):
+        raise ConfigError("plan.phi_s_values: expected a list of angles")
     plan_kwargs = {
         "phi_s_values": tuple(parse_angle(v) for v in phi_s),
         "seed": plan_raw.pop("seed", DEFAULT_SEED),
@@ -138,7 +144,7 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
         grid = plan_raw.pop("phi_x_grid")
         if not (isinstance(grid, (list, tuple)) and len(grid) == 3):
             raise ConfigError("plan.phi_x_grid: expected [start, stop, steps]")
-        plan_kwargs["phi_x_grid"] = (parse_angle(grid[0]), parse_angle(grid[1]), int(grid[2]))
+        plan_kwargs["phi_x_grid"] = (parse_angle(grid[0]), parse_angle(grid[1]), grid[2])
     for key in ("blocks", "pulses_per_point", "coherence"):
         if key in plan_raw:
             plan_kwargs[key] = plan_raw.pop(key)
@@ -304,7 +310,7 @@ def _violations(reports, mode: str) -> list:
     return bad
 
 
-def run(cfg: ExperimentConfig, workers: int = 1) -> int:
+def run(cfg: ExperimentConfig) -> int:
     """Execute a validated config and write its artifacts; returns the exit code."""
     out = Path(cfg.output_dir)
     try:
@@ -318,7 +324,6 @@ def run(cfg: ExperimentConfig, workers: int = 1) -> int:
         "mode": cfg.mode,
         "seed": cfg.plan.seed,
         "coherence": cfg.plan.resolved_coherence(cfg.mode),
-        "workers": workers,
         "config_sha256": config_hash(cfg),
         "config": serialize_config(cfg),
     }
@@ -340,7 +345,7 @@ def run(cfg: ExperimentConfig, workers: int = 1) -> int:
             (out / "report.json").write_text(json.dumps(report, indent=2, sort_keys=True) + "\n", newline="\n")
             return EXIT_OK
 
-        scans = run_sweep(cfg.plan, cfg.source, cfg.detector, mode=cfg.mode, workers=workers)
+        scans = run_sweep(cfg.plan, cfg.source, cfg.detector, mode=cfg.mode)
         by_key = {(s.phi_s, s.block): s for s in scans}
         reports = [
             duality_report(by_key[(phi_s, "none")], by_key[(phi_s, "path0")], by_key[(phi_s, "path1")])
@@ -367,6 +372,9 @@ def run(cfg: ExperimentConfig, workers: int = 1) -> int:
             print(f"error: {len(violations)} physically generated point(s) violate the bounds", file=sys.stderr)
             return EXIT_VIOLATION
         return EXIT_OK
+    except EstimationError as exc:
+        print(f"error: cannot estimate from the simulated counts: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
     except OSError as exc:
         print(f"error: I/O failure: {exc}", file=sys.stderr)
         return EXIT_IO
@@ -388,7 +396,6 @@ def _build_parser() -> _Parser:
         p.add_argument("--seed", type=int, default=None, help="override the plan seed (u64)")
         p.add_argument("--mode", choices=list(MODES), default=None, help="override the run mode")
         p.add_argument("--out", type=str, default=None, help="override the output directory")
-        p.add_argument("--workers", type=int, default=1, help="parallel scan workers")
         if name != "switch":
             p.add_argument("--phi-s", type=str, default=None,
                            help="comma-separated phi_s values (radians or pi fractions)")
@@ -422,7 +429,7 @@ def main(argv=None) -> int:
     except (OSError, json.JSONDecodeError) as exc:
         print(f"error: cannot load config: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    return run(cfg, workers=args.workers)
+    return run(cfg)
 
 
 if __name__ == "__main__":

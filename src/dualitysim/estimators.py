@@ -22,25 +22,20 @@ optional sinusoid fit below is presentation-only and never feeds entropies.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .entropy import (
-    DualityQuantities,
-    eur_check,
-    h_max,
-    h_max_from_visibility,
-    h_min,
-    h_min_from_distinguishability,
-    wpdr_check,
-)
+from .entropy import DualityQuantities, duality_from_v_d, h_max, h_min
 from .errors import ContractViolation, EstimationError
 from .optics import BLOCK_NONE, BLOCK_PATH0, BLOCK_PATH1, BLOCKS
 from .states import ProbDist
 from .tolerances import ATOL_ALGEBRAIC, INEQ_SLACK
 
 LN2 = math.log(2.0)
+
+# Fewest usable phi_x points a visibility estimate accepts.
+MIN_FRINGE_POINTS = 8
 
 FORMULA_ROUTE = "formula"
 DEFINITION_ROUTE = "definition"
@@ -174,14 +169,14 @@ def estimate_visibility(scan: FringeScan) -> EstimateWithError:
     """
     if scan.block != BLOCK_NONE:
         raise ContractViolation("visibility requires an open scan (block = none)")
-    keep = _kept(scan)
-    kept_x = scan.phi_x[keep]
-    if kept_x.size < 8:
-        raise ContractViolation(f"need at least 8 usable points, got {kept_x.size}")
-    span = float(kept_x[-1] - kept_x[0])
-    spacing = span / (kept_x.size - 1)
-    if span + spacing < 2.0 * math.pi - 1e-9:
-        raise ContractViolation(f"phi_x span {span:.3f} rad covers less than one fringe period")
+    # A grid too short or too narrow is a caller error; a grid that becomes
+    # so only once its zero-count points are dropped is degenerate data.
+    for x, error in ((scan.phi_x, ContractViolation), (scan.phi_x[_kept(scan)], EstimationError)):
+        if x.size < MIN_FRINGE_POINTS:
+            raise error(f"need at least {MIN_FRINGE_POINTS} usable points, got {x.size}")
+        span = float(x[-1] - x[0])
+        if span + span / (x.size - 1) < 2.0 * math.pi - 1e-9:
+            raise error(f"phi_x span {span:.3f} rad covers less than one fringe period")
     i_max, i_min = _extremal_indices(scan)
     n_max, n_min = float(scan.n1[i_max]), float(scan.n1[i_min])
     s = n_max + n_min
@@ -274,23 +269,12 @@ def eur_formula_route(
     """
     v, clamped_v = _clamp_unit(visibility.value)
     d, clamped_d = _clamp_unit(distinguishability.value)
-    q = _quantities(v, d, n, slack)
+    q = duality_from_v_d(v, d, n=n, slack=slack)
     s_hmin, s_hmax, s_eur, s_wpdr = _sigma_pair(v, visibility.sigma, d, distinguishability.sigma)
     return RouteReport(
         route=FORMULA_ROUTE, quantities=q,
         h_min_sigma=s_hmin, h_max_sigma=s_hmax, eur_sigma=s_eur, wpdr_sigma=s_wpdr,
         clamped_v=clamped_v, clamped_d=clamped_d, dropped_points=dropped_points,
-    )
-
-
-def _quantities(v: float, d: float, n: int, slack: float) -> DualityQuantities:
-    hz = h_min_from_distinguishability(d)
-    hw = h_max_from_visibility(v)
-    eur_sum, eur_ok = eur_check(hz, hw, n=n, slack=slack)
-    wpdr_value, wpdr_ok = wpdr_check(d, v, slack=slack)
-    return DualityQuantities(
-        v=v, d=d, h_min_z=hz, h_max_w=hw, eur_sum=eur_sum, wpdr_value=wpdr_value,
-        eur_satisfied=eur_ok, wpdr_satisfied=wpdr_ok, n=n,
     )
 
 
@@ -349,14 +333,11 @@ def eur_definition_route(
     sigma_c = math.sqrt(var_c)
     s_hmax = 0.0 if sigma_c == 0.0 else _h_max_slope(contrast) * sigma_c
 
-    q = _quantities(contrast, d_bar, 2, slack)
     # definition-route entropies replace the closed-form ones in the scorecard
     eur_sum = hz + hw
-    q = DualityQuantities(
-        v=q.v, d=q.d, h_min_z=hz, h_max_w=hw, eur_sum=eur_sum,
-        wpdr_value=q.wpdr_value,
-        eur_satisfied=bool(eur_sum >= 1.0 - slack),
-        wpdr_satisfied=q.wpdr_satisfied, n=2,
+    q = replace(
+        duality_from_v_d(contrast, d_bar, slack=slack),
+        h_min_z=hz, h_max_w=hw, eur_sum=eur_sum, eur_satisfied=bool(eur_sum >= 1.0 - slack),
     )
     dropped = scan_open.empty_points + scan_blocked_0.empty_points + scan_blocked_1.empty_points
     return RouteReport(

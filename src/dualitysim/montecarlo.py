@@ -8,27 +8,27 @@ probability per pulse is
     c_j = 1 - exp(-mu_eff * p_j_raw) + dark_prob,   mu_eff = mu * eta * 10^(-L/10),
 
 with ``p_j_raw`` the unconditional optics probability (half amplitude when a
-path is blocked).  Counts over a point are binomial in the pulse number.  The
-time-multiplexed single-detector readout assigns D1 to the early gate and D2
-to the late gate; with afterpulsing off this is a pure relabeling and does
-not change any statistic, so it is modeled as such.
+path is blocked).  Counts over a point are binomial in the pulse number.
+:func:`click_probs` is this model on arrays; the sweep and the switch
+scenario both call it.  The time-multiplexed single-detector readout of the
+experiment (D1 in the early gate, D2 in the late one) is a pure relabeling
+with afterpulsing off, so it is not modeled.
 
 Determinism contract: every grid cell draws from its own substream derived as
-a pure function of (seed, block index, phi_s index, phi_x index).  Identical
-plans produce bit-identical counts for any worker count and any evaluation
-order.
+a pure function of (seed, block index, phi_s index, phi_x index), first the
+D1 count and then the D2 count.  Identical plans produce bit-identical counts
+in any evaluation order.
 """
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ContractViolation
 from .estimators import FringeScan
-from .optics import BLOCKS, CircuitConfig, raw_detection_probs
+from .optics import BLOCKS, CircuitConfig, open_p1, raw_detection_probs, raw_probs
 
 IDEAL_MODE = "ideal"
 MONTECARLO_MODE = "montecarlo"
@@ -41,41 +41,38 @@ DEFAULT_COHERENCE_IDEAL = 1.0
 
 DEFAULT_PULSES_PER_POINT = 120_000  # 0.8 s integration at the default repetition rate
 
+SWITCH_CHUNK_PULSES = 1_000_000  # pulses sampled per step of the switch scenario; bounds its memory
+
 
 @dataclass(frozen=True)
 class SourceConfig:
-    """Pulsed weak-coherent source: mean photons per gate, rep rate, pulse width."""
+    """Pulsed weak-coherent source: mean photons per gate and repetition rate."""
 
     mu: float = 0.2
     rep_rate: float = 150e3
-    pulse_width: float = 40e-9
 
     def __post_init__(self):
         if not (math.isfinite(self.mu) and self.mu > 0):
             raise ContractViolation(f"mu must be > 0, got {self.mu}")
-        if self.rep_rate <= 0 or self.pulse_width <= 0:
-            raise ContractViolation("rep_rate and pulse_width must be positive")
+        if not (math.isfinite(self.rep_rate) and self.rep_rate > 0):
+            raise ContractViolation(f"rep_rate must be > 0, got {self.rep_rate}")
 
 
 @dataclass(frozen=True)
 class DetectorConfig:
-    """Gated single-photon detection: efficiency, system loss, gate, dark counts."""
+    """Gated single-photon detection: efficiency, system loss, dark counts per gate."""
 
     efficiency: float = 0.10
     system_loss_db: float = 12.0
-    gate_width: float = 3e-9
     dark_prob: float = 0.0
-    multiplex_delay: float = 1.25e-6
 
     def __post_init__(self):
         if not 0.0 < self.efficiency <= 1.0:
             raise ContractViolation(f"efficiency must lie in (0, 1], got {self.efficiency}")
-        if self.system_loss_db < 0:
-            raise ContractViolation("system_loss_db must be nonnegative")
+        if not (math.isfinite(self.system_loss_db) and self.system_loss_db >= 0):
+            raise ContractViolation("system_loss_db must be finite and nonnegative")
         if not 0.0 <= self.dark_prob <= 1.0:
             raise ContractViolation("dark_prob must lie in [0, 1]")
-        if self.gate_width <= 0 or self.multiplex_delay <= 0:
-            raise ContractViolation("gate_width and multiplex_delay must be positive")
 
 
 @dataclass(frozen=True)
@@ -94,18 +91,26 @@ class RunPlan:
     seed: int = 0
 
     def __post_init__(self):
+        if isinstance(self.blocks, str):
+            raise ContractViolation(f"blocks must be a list of settings, got {self.blocks!r}")
         object.__setattr__(self, "phi_s_values", tuple(float(p) for p in self.phi_s_values))
         object.__setattr__(self, "blocks", tuple(self.blocks))
         start, stop, steps = self.phi_x_grid
+        integers = (("phi_x grid steps", steps), ("pulses_per_point", self.pulses_per_point), ("seed", self.seed))
+        for name, value in integers:
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                raise ContractViolation(f"{name} must be an integer, got {value!r}")
         object.__setattr__(self, "phi_x_grid", (float(start), float(stop), int(steps)))
         if not self.phi_s_values:
             raise ContractViolation("phi_s_values must be non-empty")
+        if not all(map(math.isfinite, self.phi_s_values + self.phi_x_grid[:2])):
+            raise ContractViolation("phi_s values and phi_x grid bounds must be finite")
         if int(steps) < 2:
             raise ContractViolation("phi_x grid needs at least 2 steps")
         if not float(stop) > float(start):
             raise ContractViolation("phi_x grid stop must exceed start")
-        if self.pulses_per_point < 0:
-            raise ContractViolation("pulses_per_point must be nonnegative")
+        if not 0 <= self.pulses_per_point < 2**63:
+            raise ContractViolation("pulses_per_point must lie in [0, 2^63)")
         for b in self.blocks:
             if b not in BLOCKS:
                 raise ContractViolation(f"unknown block setting {b!r}")
@@ -131,13 +136,24 @@ def effective_mean_photons(source: SourceConfig, detector: DetectorConfig) -> fl
     return source.mu * detector.efficiency * 10.0 ** (-detector.system_loss_db / 10.0)
 
 
+def click_probs(p_raw, source: SourceConfig, detector: DetectorConfig):
+    """Click probabilities min(1, 1 - exp(-mu_eff p) + dark_prob), elementwise on raw probabilities.
+
+    Computed in a single buffer: the switch scenario calls this on chunks of
+    a million pulses, where every temporary array is a fresh allocation.
+    """
+    c = np.array(p_raw, dtype=np.float64)
+    c *= -effective_mean_photons(source, detector)
+    np.expm1(c, out=c)
+    np.negative(c, out=c)
+    c += detector.dark_prob
+    return np.minimum(c, 1.0, out=c)
+
+
 def click_probabilities(cfg: CircuitConfig, source: SourceConfig, detector: DetectorConfig):
-    """Per-pulse click probability at each detector (dark counts included, capped at 1)."""
-    mu_eff = effective_mean_photons(source, detector)
-    raw = raw_detection_probs(cfg)
-    c1 = min(1.0, -math.expm1(-mu_eff * raw.p1) + detector.dark_prob)
-    c2 = min(1.0, -math.expm1(-mu_eff * raw.p2) + detector.dark_prob)
-    return c1, c2
+    """Per-pulse click probability (c1, c2) at each detector for one circuit setting."""
+    c1, c2 = click_probs(raw_detection_probs(cfg).as_tuple, source, detector)
+    return float(c1), float(c2)
 
 
 def expected_counts(cfg: CircuitConfig, source: SourceConfig, detector: DetectorConfig, pulses: int):
@@ -162,8 +178,6 @@ def simulate_point(
     """
     if pulses < 0:
         raise ContractViolation("pulses must be nonnegative")
-    if pulses == 0:
-        return 0, 0
     c1, c2 = click_probabilities(cfg, source, detector)
     return int(rng.binomial(pulses, c1)), int(rng.binomial(pulses, c2))
 
@@ -191,71 +205,44 @@ def multi_photon_fraction(mu: float, pulses: int, rng: np.random.Generator) -> f
     return float(np.count_nonzero(n >= 2)) / pulses
 
 
-def time_multiplexed_counts(n1: int, n2: int, detector: DetectorConfig) -> dict:
-    """Early/late gate assignment of the single-detector readout (pure relabeling)."""
-    return {
-        "early": {"detector": "D1", "counts": n1, "gate_offset_s": 0.0},
-        "late": {"detector": "D2", "counts": n2, "gate_offset_s": detector.multiplex_delay},
-    }
-
-
-def _scan_cells(plan, source, detector, mode, coherence, block, s_idx, phi_s, phi_x):
-    n1 = np.empty(phi_x.size, dtype=np.float64)
-    n2 = np.empty(phi_x.size, dtype=np.float64)
-    b_idx = BLOCKS.index(block)
-    for x_idx, phi in enumerate(phi_x):
-        cfg = CircuitConfig(float(phi), phi_s, block=block, coherence=coherence)
-        if mode == IDEAL_MODE:
-            # Noiseless expected probability mass; the click model and its
-            # ~mu_eff/2 relative nonlinearity are deliberately bypassed so
-            # the ideal route reproduces the closed forms exactly.
-            raw = raw_detection_probs(cfg)
-            n1[x_idx] = plan.pulses_per_point * raw.p1
-            n2[x_idx] = plan.pulses_per_point * raw.p2
-        else:
-            rng = cell_rng(plan.seed, b_idx, s_idx, x_idx)
-            a, b = simulate_point(cfg, source, detector, plan.pulses_per_point, rng)
-            n1[x_idx], n2[x_idx] = a, b
-    return FringeScan(
-        phi_s=phi_s, block=block, phi_x=phi_x.copy(), n1=n1, n2=n2,
-        pulses_per_point=plan.pulses_per_point, seed=plan.seed, mode=mode,
-    )
-
-
 def run_sweep(
     plan: RunPlan,
     source: SourceConfig | None = None,
     detector: DetectorConfig | None = None,
     mode: str = MONTECARLO_MODE,
-    workers: int = 1,
 ) -> list:
     """One FringeScan per (phi_s, block) pair, in plan order.
 
-    Deterministic for a fixed plan: cells draw from index-derived substreams,
-    so results are identical across runs and across worker counts.
+    Each pair is evaluated as one phi_x row.  The ideal route is the
+    noiseless mass pulses * p, bypassing the click model and its ~mu_eff/2
+    relative nonlinearity so that it reproduces the closed forms exactly.
+    The Monte Carlo route draws each cell's D1 then D2 count from the
+    cell's own substream.
     """
     if mode not in MODES:
         raise ContractViolation(f"mode must be one of {MODES}")
-    if workers < 1:
-        raise ContractViolation("workers must be >= 1")
     source = source or SourceConfig()
     detector = detector or DetectorConfig()
     coherence = plan.resolved_coherence(mode)
     phi_x = plan.phi_x_values()
-    tasks = [
-        (block, s_idx, phi_s)
-        for s_idx, phi_s in enumerate(plan.phi_s_values)
-        for block in plan.blocks
-    ]
-
-    def job(task):
-        block, s_idx, phi_s = task
-        return _scan_cells(plan, source, detector, mode, coherence, block, s_idx, phi_s, phi_x)
-
-    if workers == 1:
-        return [job(t) for t in tasks]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(job, tasks))
+    pulses = plan.pulses_per_point
+    scans = []
+    for s_idx, phi_s in enumerate(plan.phi_s_values):
+        for block in plan.blocks:
+            p = raw_probs(phi_x, phi_s, block, coherence)
+            if mode == IDEAL_MODE:
+                counts = pulses * p
+            else:
+                b_idx = BLOCKS.index(block)
+                counts = np.empty_like(p)
+                for x_idx, (c1, c2) in enumerate(click_probs(p, source, detector).T.tolist()):
+                    rng = cell_rng(plan.seed, b_idx, s_idx, x_idx)
+                    counts[:, x_idx] = rng.binomial(pulses, c1), rng.binomial(pulses, c2)
+            scans.append(FringeScan(
+                phi_s=phi_s, block=block, phi_x=phi_x, n1=counts[0], n2=counts[1],
+                pulses_per_point=pulses, seed=plan.seed, mode=mode,
+            ))
+    return scans
 
 
 @dataclass(frozen=True)
@@ -290,32 +277,31 @@ def run_dynamic_switch(
     rng: np.random.Generator | int,
     coherence: float = 1.0,
     bin_seconds: float = 0.2,
-    chunk_pulses: int = 1_000_000,
 ) -> SwitchTrace:
     """Continuous phi_x triangle sweep while phi_s toggles between 0 and pi/2.
 
     phi_s starts at 0 (which-path segments with flat, balanced rates) and
     flips every ``toggle_period_s`` to pi/2 (full-contrast fringe segments).
-    Clicks are sampled per pulse and binned into windows of ``bin_seconds``.
+    Clicks are sampled per pulse, D1 then D2 within each chunk of
+    SWITCH_CHUNK_PULSES pulses, and binned into windows of ``bin_seconds``.
     """
     if min(duration_s, toggle_period_s, triangle_period_s, bin_seconds) <= 0:
         raise ContractViolation("durations and periods must be positive")
     if isinstance(rng, (int, np.integer)):
         rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(int(rng))))
-    mu_eff = effective_mean_photons(source, detector)
     n_pulses = int(duration_s * source.rep_rate)
     n_bins = int(math.ceil(duration_s / bin_seconds))
     counts = np.zeros((2, n_bins), dtype=np.int64)
 
-    for start in range(0, n_pulses, chunk_pulses):
-        idx = np.arange(start, min(start + chunk_pulses, n_pulses))
+    for start in range(0, n_pulses, SWITCH_CHUNK_PULSES):
+        idx = np.arange(start, min(start + SWITCH_CHUNK_PULSES, n_pulses))
         t = (idx + 0.5) / source.rep_rate
         phi_x = triangle_wave(t, triangle_period_s)
         wave_segment = (np.floor(t / toggle_period_s).astype(np.int64) % 2) == 1
         sin_s = np.where(wave_segment, 1.0, 0.0)  # sin(phi_s) for phi_s in {0, pi/2}
-        p1 = 0.5 * (1.0 + coherence * np.sin(phi_x) * sin_s)
-        c1 = np.minimum(1.0, -np.expm1(-mu_eff * p1) + detector.dark_prob)
-        c2 = np.minimum(1.0, -np.expm1(-mu_eff * (1.0 - p1)) + detector.dark_prob)
+        p1 = open_p1(np.sin(phi_x), sin_s, coherence)
+        c1 = click_probs(p1, source, detector)
+        c2 = click_probs(1.0 - p1, source, detector)
         click1 = rng.random(idx.size) < c1
         click2 = rng.random(idx.size) < c2
         bins = np.minimum((t / bin_seconds).astype(np.int64), n_bins - 1)

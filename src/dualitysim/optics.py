@@ -52,8 +52,6 @@ BLOCKS = (BLOCK_NONE, BLOCK_PATH0, BLOCK_PATH1)
 # cos^2(phi_s/2) of the surviving amplitude to D1.
 INPUT_PORT = 1
 
-DETECTOR_LABELS = ("D1", "D2")
-
 
 @dataclass(frozen=True)
 class CircuitConfig:
@@ -195,6 +193,38 @@ def state_detection_probs(state: PathState, conditional: bool = True) -> Detecti
     return DetectionProbs(float(p[d1]), float(p[d2]), conditional)
 
 
+def open_p1(sin_x, sin_s, coherence=1.0):
+    """Open-circuit p1 = (1 + gamma sin(phi_x) sin(phi_s)) / 2 (p2 = 1 - p1), elementwise on the sines."""
+    return 0.5 * (1.0 + coherence * sin_x * sin_s)
+
+
+def _blocked_pair(phi_s: float, block: str) -> tuple:
+    """Conditional (p1, p2) with one path blocked: (cos^2, sin^2)(phi_s/2), swapped for path0."""
+    c, s = math.cos(phi_s / 2.0) ** 2, math.sin(phi_s / 2.0) ** 2
+    return (c, s) if block == BLOCK_PATH1 else (s, c)
+
+
+def raw_probs(phi_x, phi_s: float, block: str = BLOCK_NONE, coherence: float = 1.0) -> np.ndarray:
+    """Unconditional per-pulse (p1, p2), shape (2,) + phi_x.shape, over phi_x at one (phi_s, block).
+
+    With a path blocked this is half the conditional pair, the blocker
+    having removed half of the amplitude.
+    """
+    if block not in BLOCKS:
+        raise ContractViolation(f"block must be one of {BLOCKS}, got {block!r}")
+    phi_x = np.asarray(phi_x, dtype=np.float64)
+    if block == BLOCK_NONE:
+        p1 = open_p1(np.sin(phi_x), math.sin(phi_s), coherence)
+        return np.stack((p1, 1.0 - p1))
+    return np.stack([np.full(phi_x.shape, 0.5 * p) for p in _blocked_pair(phi_s, block)])
+
+
+def raw_detection_probs(cfg: CircuitConfig) -> DetectionProbs:
+    """Unconditional per-pulse probabilities feeding the photon-counting model."""
+    p1, p2 = raw_probs(cfg.phi_x, cfg.phi_s, cfg.block, cfg.coherence)
+    return DetectionProbs(float(p1), float(p2), conditional=cfg.block == BLOCK_NONE)
+
+
 def detection_probs_closed_form(cfg: CircuitConfig) -> DetectionProbs:
     """Open-circuit detection probabilities, p1 = (1 + gamma sin.sin)/2.
 
@@ -203,8 +233,7 @@ def detection_probs_closed_form(cfg: CircuitConfig) -> DetectionProbs:
     """
     if cfg.block != BLOCK_NONE:
         raise ContractViolation("closed form with both paths open requires block = none")
-    p1 = 0.5 * (1.0 + cfg.coherence * math.sin(cfg.phi_x) * math.sin(cfg.phi_s))
-    return DetectionProbs(p1, 1.0 - p1, conditional=True)
+    return raw_detection_probs(cfg)
 
 
 def detection_probs_blocked(cfg: CircuitConfig, conditional: bool = True) -> DetectionProbs:
@@ -216,18 +245,9 @@ def detection_probs_blocked(cfg: CircuitConfig, conditional: bool = True) -> Det
     """
     if cfg.block == BLOCK_NONE:
         raise ContractViolation("blocked closed form requires block = path0 or path1")
-    c, s = math.cos(cfg.phi_s / 2.0) ** 2, math.sin(cfg.phi_s / 2.0) ** 2
-    p1, p2 = (c, s) if cfg.block == BLOCK_PATH1 else (s, c)
     if conditional:
-        return DetectionProbs(p1, p2, conditional=True)
-    return DetectionProbs(0.5 * p1, 0.5 * p2, conditional=False)
-
-
-def raw_detection_probs(cfg: CircuitConfig) -> DetectionProbs:
-    """Unconditional per-pulse probabilities feeding the photon-counting model."""
-    if cfg.block == BLOCK_NONE:
-        return detection_probs_closed_form(cfg)
-    return detection_probs_blocked(cfg, conditional=False)
+        return DetectionProbs(*_blocked_pair(cfg.phi_s, cfg.block), conditional=True)
+    return raw_detection_probs(cfg)
 
 
 def fringe_extrema(phi_s: float, coherence: float = 1.0) -> tuple:

@@ -253,3 +253,39 @@ class TestMain:
         out = capsys.readouterr().out
         assert out.count("eur_formula=") == 2
         assert "OK" in out
+
+
+UNUSABLE_INPUTS = {
+    "phi_s_nan": ("sweep", {"plan": {"phi_s_values": ["nan"]}}),
+    "phi_s_inf": ("sweep", {"plan": {"phi_s_values": ["0", "inf"]}}),
+    "phi_s_string": ("sweep", {"plan": {"phi_s_values": "pi/4"}}),
+    "steps_not_a_number": ("sweep", {"plan": {"phi_x_grid": [0, "2pi", "abc"]}}),
+    "steps_fractional": ("sweep", {"plan": {"phi_x_grid": [0, "2pi", 32.5]}}),
+    "seed_fractional": ("sweep", {"plan": {"seed": 1.5}}),
+    "pulses_fractional": ("sweep", {"plan": {"pulses_per_point": 1.5}}),
+    "pulses_beyond_int64": ("sweep", {"plan": {"pulses_per_point": 2**64}}),
+    "blocks_string": ("sweep", {"plan": {"blocks": "none"}}),
+    "too_few_steps": ("sweep", {"plan": {"phi_x_grid": [0, "2pi", 4]}}),
+    "less_than_a_period": ("eur-verify", {"mode": "ideal", "plan": {"phi_x_grid": [0, "pi", 32]}}),
+    "zero_pulses_sweep": ("sweep", {"plan": {"pulses_per_point": 0}}),
+    "zero_pulses_verify": ("eur-verify", {"mode": "ideal", "plan": {"pulses_per_point": 0}}),
+    "rep_rate_nan": ("switch", {"source": {"rep_rate": math.nan}}),
+    "duration_inf": ("switch", {"switch": {"duration_s": math.inf}}),
+    "removed_field_pulse_width": ("sweep", {"source": {"mu": 0.2, "pulse_width": 4e-08}}),
+    "removed_field_gate_width": ("sweep", {"detector": {"gate_width": 3e-09}}),
+    "no_counts_to_estimate": ("sweep", {"plan": {"pulses_per_point": 10}, "source": {"mu": 1e-9}}),
+    "zero_counts_at_grid_edges": (
+        "sweep", {"plan": {"phi_s_values": ["0"], "pulses_per_point": 200, "seed": 4}, "source": {"mu": 0.05}},
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(UNUSABLE_INPUTS))
+def test_unusable_inputs_exit_1_with_one_line(name, tmp_path, capsys):
+    scenario, payload = UNUSABLE_INPUTS[name]
+    cfg_path = write_config(tmp_path, {"scenario": scenario, **payload})
+    code = main([scenario, "--config", str(cfg_path), "--out", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert code == EXIT_CONFIG
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
+    assert "Traceback" not in err

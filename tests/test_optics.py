@@ -18,6 +18,7 @@ from dualitysim import (
     fringe_extrema,
     path_blocker,
     raw_detection_probs,
+    raw_probs,
     sagnac_effective,
     standard_elements,
     state_detection_probs,
@@ -160,6 +161,22 @@ class TestMatrixRoute:
                 for phi_x in np.linspace(0, 2 * math.pi, 40)
             ]
             assert max(probs) - min(probs) < 1e-12
+
+
+class TestArrayRoute:
+    def test_rows_agree_with_matrix_route(self):
+        phi_x = np.linspace(0, 2 * math.pi, 16, endpoint=False)
+        for phi_s in (0.0, 0.7, math.pi / 2):
+            for block in BLOCKS:
+                p = raw_probs(phi_x, phi_s, block)
+                assert p.shape == (2, phi_x.size)
+                for x, pair in zip(phi_x, p.T):
+                    want = matrix_route_probs(x, phi_s, block=block, conditional=False)
+                    assert np.allclose(pair, want.as_tuple, rtol=0.0, atol=1e-12)
+
+    def test_unknown_block_rejected(self):
+        with pytest.raises(ContractViolation):
+            raw_probs(np.zeros(3), 0.0, block="path2")
 
 
 class TestFringeLaw:
