@@ -54,24 +54,25 @@ EXIT_IO = 3
 
 DEFAULT_PHI_S = tuple(float(x) for x in np.linspace(0.0, math.pi / 2.0, 9))
 DEFAULT_SEED = 2
+MAX_SWITCH_BINS = 10**7  # caps the memory of a switch run's binned counts
 
 _PI_LITERAL = re.compile(r"^\s*(-?\d*\.?\d*)\s*\*?\s*pi\s*(?:/\s*(\d+\.?\d*))?\s*$", re.IGNORECASE)
 
 
 def parse_angle(value) -> float:
     """Angles are radians; strings may use pi fractions like 'pi/4' or '3pi/2'."""
-    if isinstance(value, (int, float)):
-        return float(value)
-    text = str(value).strip()
-    m = _PI_LITERAL.match(text)
-    if m:
+    try:
+        if isinstance(value, (int, float)):
+            return float(value)
+        text = str(value).strip()
+        m = _PI_LITERAL.match(text)
+        if not m:
+            return float(text)
         num = m.group(1)
         factor = float(num) if num not in ("", "-") else (-1.0 if num == "-" else 1.0)
         denom = float(m.group(2)) if m.group(2) else 1.0
         return factor * math.pi / denom
-    try:
-        return float(text)
-    except ValueError:
+    except (ValueError, OverflowError, ZeroDivisionError):
         raise ConfigError(f"cannot parse angle {value!r} (use radians or pi fractions)") from None
 
 
@@ -87,6 +88,8 @@ class SwitchPlan:
     def __post_init__(self):
         if not all(math.isfinite(x) and x > 0 for x in dataclasses.astuple(self)):
             raise ConfigError("all durations and periods must be finite and positive")
+        if self.duration_s / self.bin_seconds > MAX_SWITCH_BINS:
+            raise ConfigError(f"duration_s / bin_seconds asks for more than {MAX_SWITCH_BINS} bins")
 
 
 @dataclass(frozen=True)
@@ -104,6 +107,8 @@ class ExperimentConfig:
             raise ConfigError(f"scenario: must be one of {SCENARIOS}, got {self.scenario!r}")
         if self.mode not in MODES:
             raise ConfigError(f"mode: must be one of {MODES}, got {self.mode!r}")
+        if not isinstance(self.output_dir, str):
+            raise ConfigError(f"output_dir: expected a path string, got {self.output_dir!r}")
         if self.scenario in ("sweep", "eur-verify"):
             missing = [b for b in BLOCKS if b not in self.plan.blocks]
             if missing:
@@ -118,10 +123,21 @@ class ExperimentConfig:
 
 
 def _build(section: str, cls, kwargs):
+    unknown = set(kwargs) - {f.name for f in dataclasses.fields(cls)}
+    if unknown:
+        raise ConfigError(f"{section}: unknown fields {sorted(unknown)}")
     try:
         return cls(**kwargs)
-    except (TypeError, ContractViolation, ConfigError) as exc:
+    except (TypeError, OverflowError, ContractViolation, ConfigError) as exc:
         raise ConfigError(f"{section}: {exc}") from None
+
+
+def _section(raw: dict, name: str) -> dict:
+    """A copy of the config section ``name`` (empty when absent), which must be a JSON object."""
+    value = raw.get(name, {})
+    if not isinstance(value, dict):
+        raise ConfigError(f"{name}: expected a JSON object, got {type(value).__name__}")
+    return dict(value)
 
 
 def config_from_dict(raw: dict) -> ExperimentConfig:
@@ -132,7 +148,7 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
     if unknown:
         raise ConfigError(f"unknown top-level fields: {sorted(unknown)}")
 
-    plan_raw = dict(raw.get("plan", {}))
+    plan_raw = _section(raw, "plan")
     phi_s = plan_raw.pop("phi_s_values", DEFAULT_PHI_S)
     if not isinstance(phi_s, (list, tuple)):
         raise ConfigError("plan.phi_s_values: expected a list of angles")
@@ -159,9 +175,9 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
             "mode": raw.get("mode", MONTECARLO_MODE),
             "output_dir": raw.get("output_dir", "out"),
             "plan": _build("plan", RunPlan, plan_kwargs),
-            "source": _build("source", SourceConfig, dict(raw.get("source", {}))),
-            "detector": _build("detector", DetectorConfig, dict(raw.get("detector", {}))),
-            "switch": _build("switch", SwitchPlan, dict(raw.get("switch", {}))),
+            "source": _build("source", SourceConfig, _section(raw, "source")),
+            "detector": _build("detector", DetectorConfig, _section(raw, "detector")),
+            "switch": _build("switch", SwitchPlan, _section(raw, "switch")),
         },
     )
 
@@ -415,7 +431,7 @@ def main(argv=None) -> int:
             raw["mode"] = args.mode
         if args.out is not None:
             raw["output_dir"] = args.out
-        plan = dict(raw.get("plan", {}))
+        plan = _section(raw, "plan")
         if args.seed is not None:
             plan["seed"] = args.seed
         if getattr(args, "phi_s", None):

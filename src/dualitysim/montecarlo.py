@@ -17,7 +17,8 @@ with afterpulsing off, so it is not modeled.
 Determinism contract: every grid cell draws from its own substream derived as
 a pure function of (seed, block index, phi_s index, phi_x index), first the
 D1 count and then the D2 count.  Identical plans produce bit-identical counts
-in any evaluation order.
+in any evaluation order.  The switch scenario draws from one stream, chunk by
+chunk: every D1 uniform of a chunk, then every D2 uniform of it.
 """
 from __future__ import annotations
 
@@ -42,6 +43,7 @@ DEFAULT_COHERENCE_IDEAL = 1.0
 DEFAULT_PULSES_PER_POINT = 120_000  # 0.8 s integration at the default repetition rate
 
 SWITCH_CHUNK_PULSES = 1_000_000  # pulses sampled per step of the switch scenario; bounds its memory
+MAX_PHI_X_STEPS = 2**16  # caps the cells and the memory a sweep plan may ask for
 
 
 @dataclass(frozen=True)
@@ -105,8 +107,8 @@ class RunPlan:
             raise ContractViolation("phi_s_values must be non-empty")
         if not all(map(math.isfinite, self.phi_s_values + self.phi_x_grid[:2])):
             raise ContractViolation("phi_s values and phi_x grid bounds must be finite")
-        if int(steps) < 2:
-            raise ContractViolation("phi_x grid needs at least 2 steps")
+        if not 2 <= int(steps) <= MAX_PHI_X_STEPS:
+            raise ContractViolation(f"phi_x grid needs 2 to {MAX_PHI_X_STEPS} steps, got {steps}")
         if not float(stop) > float(start):
             raise ContractViolation("phi_x grid stop must exceed start")
         if not 0 <= self.pulses_per_point < 2**63:
@@ -185,8 +187,8 @@ def simulate_point(
 def cell_rng(seed: int, block_index: int, phi_s_index: int, phi_x_index: int) -> np.random.Generator:
     """Substream for one grid cell; pure function of (seed, cell indices).
 
-    Uses a SeedSequence spawn key, so substreams are independent and the same
-    no matter which worker evaluates the cell.
+    Uses a SeedSequence spawn key, so substreams are independent of each
+    other and of the order in which cells are evaluated.
     """
     ss = np.random.SeedSequence(seed, spawn_key=(block_index, phi_s_index, phi_x_index))
     return np.random.Generator(np.random.PCG64(ss))
@@ -282,8 +284,16 @@ def run_dynamic_switch(
 
     phi_s starts at 0 (which-path segments with flat, balanced rates) and
     flips every ``toggle_period_s`` to pi/2 (full-contrast fringe segments).
-    Clicks are sampled per pulse, D1 then D2 within each chunk of
-    SWITCH_CHUNK_PULSES pulses, and binned into windows of ``bin_seconds``.
+    Each chunk of SWITCH_CHUNK_PULSES pulses draws one uniform per pulse for
+    D1, then one per pulse for D2; a pulse clicks at a detector when its
+    uniform lies below that detector's click probability, and clicks are
+    binned into windows of ``bin_seconds``.
+
+    No click probability exceeds the saturating port's, c(p = 1), so a
+    uniform at or above it cannot click.  The phase and click model is
+    evaluated only on the pulses whose uniform falls below that bound (a
+    fraction c(p = 1), about mu_eff, of them); every draw and every count is
+    what evaluating the model on all pulses gives.
     """
     if min(duration_s, toggle_period_s, triangle_period_s, bin_seconds) <= 0:
         raise ContractViolation("durations and periods must be positive")
@@ -291,22 +301,25 @@ def run_dynamic_switch(
         rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(int(rng))))
     n_pulses = int(duration_s * source.rep_rate)
     n_bins = int(math.ceil(duration_s / bin_seconds))
-    counts = np.zeros((2, n_bins), dtype=np.int64)
+    counts = np.zeros(2 * n_bins, dtype=np.int64)
+    # The relative margin keeps the bound above every c even if a vectorised
+    # expm1 is not monotone to the last bit; it admits no measurable extra work.
+    c_bound = click_probs(1.0, source, detector) * (1.0 + 1e-9)
 
+    buf = np.empty(2 * min(SWITCH_CHUNK_PULSES, n_pulses))  # one buffer for every chunk's uniforms
     for start in range(0, n_pulses, SWITCH_CHUNK_PULSES):
-        idx = np.arange(start, min(start + SWITCH_CHUNK_PULSES, n_pulses))
-        t = (idx + 0.5) / source.rep_rate
+        size = min(SWITCH_CHUNK_PULSES, n_pulses - start)
+        u = rng.random(out=buf[: 2 * size])  # every D1 uniform of the chunk, then every D2 one
+        cand = np.flatnonzero(u < c_bound)
+        det, idx = np.divmod(cand, size)
+        t = (idx + start + 0.5) / source.rep_rate
         phi_x = triangle_wave(t, triangle_period_s)
         wave_segment = (np.floor(t / toggle_period_s).astype(np.int64) % 2) == 1
         sin_s = np.where(wave_segment, 1.0, 0.0)  # sin(phi_s) for phi_s in {0, pi/2}
         p1 = open_p1(np.sin(phi_x), sin_s, coherence)
-        c1 = click_probs(p1, source, detector)
-        c2 = click_probs(1.0 - p1, source, detector)
-        click1 = rng.random(idx.size) < c1
-        click2 = rng.random(idx.size) < c2
-        bins = np.minimum((t / bin_seconds).astype(np.int64), n_bins - 1)
-        counts[0] += np.bincount(bins[click1], minlength=n_bins)
-        counts[1] += np.bincount(bins[click2], minlength=n_bins)
+        hit = u[cand] < click_probs(np.where(det == 0, p1, 1.0 - p1), source, detector)
+        bins = np.minimum((t[hit] / bin_seconds).astype(np.int64), n_bins - 1)
+        counts += np.bincount(det[hit] * n_bins + bins, minlength=2 * n_bins)
 
     t_bin = (np.arange(n_bins) + 0.5) * bin_seconds
     phi_s_bin = np.where((np.floor(t_bin / toggle_period_s).astype(np.int64) % 2) == 1, math.pi / 2.0, 0.0)
@@ -314,7 +327,7 @@ def run_dynamic_switch(
         t=t_bin,
         phi_s=phi_s_bin,
         phi_x=triangle_wave(t_bin, triangle_period_s),
-        n1=counts[0].astype(np.float64),
-        n2=counts[1].astype(np.float64),
+        n1=counts[:n_bins].astype(np.float64),
+        n2=counts[n_bins:].astype(np.float64),
         pulses_per_bin=int(round(bin_seconds * source.rep_rate)),
     )

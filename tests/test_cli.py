@@ -1,11 +1,15 @@
+import contextlib
+import io
 import json
 import math
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from dualitysim import ConfigError
+from dualitysim import ConfigError, ContractViolation
 from dualitysim.cli import (
     DEFAULT_PHI_S,
     DEFAULT_SEED,
@@ -14,6 +18,8 @@ from dualitysim.cli import (
     EXIT_IO,
     EXIT_OK,
     EXIT_VIOLATION,
+    SCENARIOS,
+    ExperimentConfig,
     config_from_dict,
     config_hash,
     load_config,
@@ -277,6 +283,14 @@ UNUSABLE_INPUTS = {
     "zero_counts_at_grid_edges": (
         "sweep", {"plan": {"phi_s_values": ["0"], "pulses_per_point": 200, "seed": 4}, "source": {"mu": 0.05}},
     ),
+    "steps_beyond_cap": ("sweep", {"plan": {"phi_x_grid": [0, "2pi", 10**14]}}),
+    "switch_bins_beyond_cap": ("switch", {"switch": {"duration_s": 1e6, "bin_seconds": 1e-9}}),
+    "plan_string": ("sweep", {"plan": "abc"}),
+    "plan_list": ("sweep", {"plan": [1, 2]}),
+    "source_list": ("sweep", {"source": [1]}),
+    "angle_over_zero": ("sweep", {"plan": {"phi_s_values": ["pi/0"]}}),
+    "angle_bare_point": ("sweep", {"plan": {"phi_s_values": [".pi"]}}),
+    "mu_beyond_float": ("sweep", {"source": {"mu": 10**400}}),
 }
 
 
@@ -289,3 +303,61 @@ def test_unusable_inputs_exit_1_with_one_line(name, tmp_path, capsys):
     assert code == EXIT_CONFIG
     assert len(err.splitlines()) == 1 and err.startswith("error: ")
     assert "Traceback" not in err
+
+
+def test_output_dir_must_be_a_path_string():
+    with pytest.raises(ConfigError, match="output_dir"):
+        config_from_dict({"output_dir": 5})
+
+
+# Any JSON value: scalars (with pi-fraction angle strings among the texts) and nested lists and objects.
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats()
+    | st.text(max_size=6) | st.sampled_from(["pi/4", "2pi", "-pi", "pi/0", ".pi", "sweep", "ideal", "none"]),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=8,
+)
+CONFIG_FIELDS = [
+    (), ("scenario",), ("mode",), ("output_dir",), ("plan",), ("source",), ("detector",), ("switch",),
+    *[("plan", k) for k in ("phi_s_values", "phi_x_grid", "blocks", "pulses_per_point", "coherence", "seed")],
+    ("source", "mu"), ("source", "rep_rate"),
+    ("detector", "efficiency"), ("detector", "system_loss_db"), ("detector", "dark_prob"),
+    *[("switch", k) for k in ("duration_s", "toggle_period_s", "triangle_period_s", "bin_seconds")],
+]
+
+
+@st.composite
+def json_configs(draw):
+    """A valid small config with up to three fields (or whole sections, or all of it) replaced by any JSON value."""
+    raw = {"scenario": "sweep", "plan": {"phi_s_values": [0.5], "pulses_per_point": 1000}}
+    for path, value in draw(st.lists(st.tuples(st.sampled_from(CONFIG_FIELDS), JSON_VALUES), min_size=1, max_size=3)):
+        if not path:
+            raw = value
+            continue
+        if not isinstance(raw, dict):
+            raw = {}
+        if len(path) == 2 and not isinstance(raw.get(path[0]), dict):
+            raw[path[0]] = {}
+        target = raw if len(path) == 1 else raw[path[0]]
+        target[path[-1]] = value
+    return raw
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)  # the same examples on every run
+@given(raw=json_configs())
+def test_any_json_config_is_built_or_exits_1_with_one_line(raw, tmp_path_factory):
+    try:
+        cfg = config_from_dict(raw)
+    except (ConfigError, ContractViolation):
+        cfg = None
+    if cfg is not None:
+        assert isinstance(cfg, ExperimentConfig)
+        return
+    cfg_path = tmp_path_factory.mktemp("cfg") / "cfg.json"
+    cfg_path.write_text(json.dumps(raw))
+    scenario = raw.get("scenario") if isinstance(raw, dict) else None
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = main([scenario if scenario in SCENARIOS else "sweep", "--config", str(cfg_path)])
+    assert code == EXIT_CONFIG
+    assert len(err.getvalue().splitlines()) == 1 and err.getvalue().startswith("error: ")

@@ -20,12 +20,13 @@ from dualitysim import (
     sample_photon_numbers,
     simulate_point,
 )
+from dualitysim import montecarlo
 from dualitysim.montecarlo import (
     DEFAULT_COHERENCE_MC,
     IDEAL_MODE,
     triangle_wave,
 )
-from dualitysim.optics import BLOCKS
+from dualitysim.optics import BLOCKS, open_p1
 
 SRC = SourceConfig()
 DET = DetectorConfig()
@@ -254,7 +255,49 @@ class TestRunSweep:
         assert np.array_equal(a, c)
 
 
+def per_pulse_switch(duration_s, toggle_period_s, triangle_period_s, source, detector, seed, coherence, bin_seconds):
+    """Switch counts with the phase and click model evaluated on every pulse, the same draws in the same order."""
+    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
+    n_pulses = int(duration_s * source.rep_rate)
+    n_bins = int(math.ceil(duration_s / bin_seconds))
+    counts = np.zeros((2, n_bins), dtype=np.int64)
+    for start in range(0, n_pulses, montecarlo.SWITCH_CHUNK_PULSES):
+        idx = np.arange(start, min(start + montecarlo.SWITCH_CHUNK_PULSES, n_pulses))
+        t = (idx + 0.5) / source.rep_rate
+        phi_x = triangle_wave(t, triangle_period_s)
+        wave_segment = (np.floor(t / toggle_period_s).astype(np.int64) % 2) == 1
+        p1 = open_p1(np.sin(phi_x), np.where(wave_segment, 1.0, 0.0), coherence)
+        c1 = click_probs(p1, source, detector)
+        c2 = click_probs(1.0 - p1, source, detector)
+        click1 = rng.random(idx.size) < c1
+        click2 = rng.random(idx.size) < c2
+        bins = np.minimum((t / bin_seconds).astype(np.int64), n_bins - 1)
+        counts[0] += np.bincount(bins[click1], minlength=n_bins)
+        counts[1] += np.bincount(bins[click2], minlength=n_bins)
+    return counts
+
+
+# (SWITCH_CHUNK_PULSES, (duration_s, toggle_period_s, triangle_period_s, source, detector, seed, coherence,
+# bin_seconds)); the small chunk leaves a ragged last chunk.
+SWITCH_CASES = {
+    "reference": (1_000_000, (72.0, 18.0, 6.0, SRC, DET, 2, 1.0, 0.6)),
+    "dark_prob_1": (1_000_000, (3.0, 1.0, 0.7, SRC, DetectorConfig(dark_prob=1.0), 5, 0.967, 0.2)),
+    "coherence_0": (1_000_000, (10.0, 3.0, 2.0, SRC, DET, 6, 0.0, 0.5)),
+    "mu_50": (1_000_000, (8.0, 2.5, 1.5, SourceConfig(mu=50.0), DetectorConfig(dark_prob=1e-4), 7, 1.0, 0.3)),
+    "ragged_chunks": (1_013, (2.2222, 0.9, 0.45, SourceConfig(mu=2.0), DetectorConfig(dark_prob=1e-3), 11, 0.8, 0.25)),
+}
+
+
 class TestDynamicSwitch:
+    @pytest.mark.parametrize("name", sorted(SWITCH_CASES))
+    def test_screened_sampler_matches_per_pulse_model(self, name, monkeypatch):
+        chunk, case = SWITCH_CASES[name]
+        monkeypatch.setattr(montecarlo, "SWITCH_CHUNK_PULSES", chunk)
+        trace = run_dynamic_switch(*case[:6], coherence=case[6], bin_seconds=case[7])
+        counts = per_pulse_switch(*case)
+        assert np.array_equal(trace.n1, counts[0]) and np.array_equal(trace.n2, counts[1])
+        assert counts.sum() > 0
+
     def test_triangle_wave_shape(self):
         t = np.array([0.0, 1.5, 3.0, 4.5, 6.0])
         np.testing.assert_allclose(
