@@ -4,8 +4,15 @@ Run-to-run comparisons (acceptance criterion 8) cannot see a change that
 alters every run the same way, such as a new order of RNG draws.  These
 digests can: any change to the bytes of a reference artifact fails here, and
 re-pinning them is a deliberate, recorded act.
+
+duality.csv does not carry every reported quantity (the WPDR sigma, the bound
+and clamp flags, the dropped points, the route equivalence and the
+violations), so report.json is pinned too: the digest covers its
+``REPORT_KEYS``, and leaves out the provenance, whose ``config.output_dir``
+and ``config_sha256`` change with ``--out``.
 """
 import hashlib
+import json
 from pathlib import Path
 
 import pytest
@@ -37,6 +44,13 @@ GOLDENS = {
     ),
 }
 
+REPORT_KEYS = ("points", "violations", "dropped_points")
+
+REPORT_DIGESTS = {
+    "reference_sweep": "ffc3b60441b65451d665de2d40fb713197bb1ee4192b11a1e6416960393058f0",
+    "verify_ideal": "ff63e2fd27e3a2b24f64b0c705bab9c57b12616a644488b697a0bb025176857d",
+}
+
 
 @pytest.mark.parametrize("name", sorted(GOLDENS))
 def test_artifact_digests(name, tmp_path, capsys):
@@ -46,3 +60,13 @@ def test_artifact_digests(name, tmp_path, capsys):
     for artifact, want in digests.items():
         got = hashlib.sha256((tmp_path / artifact).read_bytes()).hexdigest()
         assert got == want, f"{name}/{artifact} changed"
+
+
+@pytest.mark.parametrize("name", sorted(REPORT_DIGESTS))
+def test_report_digests(name, tmp_path, capsys):
+    argv, _ = GOLDENS[name]
+    assert main(argv + ["--out", str(tmp_path)]) == EXIT_OK
+    capsys.readouterr()
+    report = json.loads((tmp_path / "report.json").read_text())
+    blob = json.dumps({k: report[k] for k in REPORT_KEYS}, sort_keys=True)
+    assert hashlib.sha256(blob.encode()).hexdigest() == REPORT_DIGESTS[name], f"{name}/report.json changed"
