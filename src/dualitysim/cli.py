@@ -29,7 +29,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .entropy import h_max_from_visibility, h_min_from_distinguishability
+from .entropy import duality_from_v_d
 from .errors import ConfigError, ContractViolation, EstimationError
 from .estimators import MIN_FRINGE_POINTS, DualityReport, duality_report
 from .montecarlo import (
@@ -43,7 +43,6 @@ from .montecarlo import (
     run_sweep,
 )
 from .optics import BLOCKS
-from .tolerances import INEQ_SLACK
 
 SCENARIOS = ("sweep", "switch", "eur-verify")
 
@@ -55,6 +54,7 @@ EXIT_IO = 3
 DEFAULT_PHI_S = tuple(float(x) for x in np.linspace(0.0, math.pi / 2.0, 9))
 DEFAULT_SEED = 2
 MAX_SWITCH_BINS = 10**7  # caps the memory of a switch run's binned counts
+MAX_SWITCH_PULSES = 10**9  # caps the sampling time of a switch run (the reference run is 1.08e7)
 
 _PI_LITERAL = re.compile(r"^\s*(-?\d*\.?\d*)\s*\*?\s*pi\s*(?:/\s*(\d+\.?\d*))?\s*$", re.IGNORECASE)
 
@@ -62,7 +62,7 @@ _PI_LITERAL = re.compile(r"^\s*(-?\d*\.?\d*)\s*\*?\s*pi\s*(?:/\s*(\d+\.?\d*))?\s
 def parse_angle(value) -> float:
     """Angles are radians; strings may use pi fractions like 'pi/4' or '3pi/2'."""
     try:
-        if isinstance(value, (int, float)):
+        if isinstance(value, (int, float)) and not isinstance(value, bool):
             return float(value)
         text = str(value).strip()
         m = _PI_LITERAL.match(text)
@@ -120,12 +120,17 @@ class ExperimentConfig:
                 raise ConfigError(f"plan.phi_x_grid: visibility needs {MIN_FRINGE_POINTS}+ steps over a 2pi period")
         if self.scenario == "switch" and self.mode == IDEAL_MODE:
             raise ConfigError("mode: the switch scenario is a sampled time series; use montecarlo")
+        if self.scenario == "switch" and self.switch.duration_s * self.source.rep_rate > MAX_SWITCH_PULSES:
+            raise ConfigError(f"switch.duration_s * source.rep_rate asks for more than {MAX_SWITCH_PULSES} pulses")
 
 
 def _build(section: str, cls, kwargs):
     unknown = set(kwargs) - {f.name for f in dataclasses.fields(cls)}
     if unknown:
         raise ConfigError(f"{section}: unknown fields {sorted(unknown)}")
+    flags = sorted(name for name, value in kwargs.items() if isinstance(value, bool))
+    if flags:
+        raise ConfigError(f"{section}: fields {flags} hold booleans, which no setting takes")
     try:
         return cls(**kwargs)
     except (TypeError, OverflowError, ContractViolation, ConfigError) as exc:
@@ -195,28 +200,8 @@ def load_config(path) -> ExperimentConfig:
     return config_from_dict(raw)
 
 
-def serialize_config(cfg: ExperimentConfig) -> dict:
-    """Explicit-dict form; load_config of this dict reproduces cfg exactly."""
-    return {
-        "scenario": cfg.scenario,
-        "mode": cfg.mode,
-        "output_dir": cfg.output_dir,
-        "plan": {
-            "phi_s_values": list(cfg.plan.phi_s_values),
-            "phi_x_grid": list(cfg.plan.phi_x_grid),
-            "blocks": list(cfg.plan.blocks),
-            "pulses_per_point": cfg.plan.pulses_per_point,
-            "coherence": cfg.plan.coherence,
-            "seed": cfg.plan.seed,
-        },
-        "source": dataclasses.asdict(cfg.source),
-        "detector": dataclasses.asdict(cfg.detector),
-        "switch": dataclasses.asdict(cfg.switch),
-    }
-
-
 def config_hash(cfg: ExperimentConfig) -> str:
-    blob = json.dumps(serialize_config(cfg), sort_keys=True).encode()
+    blob = json.dumps(dataclasses.asdict(cfg), sort_keys=True).encode()
     return hashlib.sha256(blob).hexdigest()
 
 
@@ -311,17 +296,16 @@ def _violations(reports, mode: str) -> list:
     slack.
     """
     bad = []
+    n_sigma = 3.0 if mode == MONTECARLO_MODE else 0.0
     for r in reports:
-        n_sigma = 3.0 if mode == MONTECARLO_MODE else 0.0
         v = max(min(r.visibility.value, 1.0) - n_sigma * r.visibility.sigma, 0.0)
         d = max(min(r.distinguishability.value, 1.0) - n_sigma * r.distinguishability.sigma, 0.0)
-        eur_relaxed = h_min_from_distinguishability(d) + h_max_from_visibility(v)
-        wpdr_relaxed = d * d + v * v
-        if eur_relaxed < 1.0 - INEQ_SLACK:
-            bad.append({"phi_s": r.phi_s, "bound": "eur", "relaxed_value": eur_relaxed,
+        relaxed = duality_from_v_d(v, d)
+        if not relaxed.eur_satisfied:
+            bad.append({"phi_s": r.phi_s, "bound": "eur", "relaxed_value": relaxed.eur_sum,
                         "observed": r.formula.quantities.eur_sum})
-        if wpdr_relaxed > 1.0 + INEQ_SLACK:
-            bad.append({"phi_s": r.phi_s, "bound": "wpdr", "relaxed_value": wpdr_relaxed,
+        if not relaxed.wpdr_satisfied:
+            bad.append({"phi_s": r.phi_s, "bound": "wpdr", "relaxed_value": relaxed.wpdr_value,
                         "observed": r.formula.quantities.wpdr_value})
     return bad
 
@@ -341,7 +325,7 @@ def run(cfg: ExperimentConfig) -> int:
         "seed": cfg.plan.seed,
         "coherence": cfg.plan.resolved_coherence(cfg.mode),
         "config_sha256": config_hash(cfg),
-        "config": serialize_config(cfg),
+        "config": dataclasses.asdict(cfg),
     }
 
     try:

@@ -72,8 +72,8 @@ def h_max_from_visibility(v):
     return float(out) if out.ndim == 0 else out
 
 
-def eur_check(h_min_z: float, h_max_w: float, n: int = 2, slack: float = INEQ_SLACK):
-    """Entropic uncertainty bound: returns (sum, sum >= log2(n) - slack).
+def eur_check(h_min_z: float, h_max_w: float, n: int = 2):
+    """Entropic uncertainty bound: returns (sum, sum >= log2(n) - INEQ_SLACK).
 
     The sum of ignorance about the path variable and the optimal fringe
     variable is at least log2(n) bits for any physical n-path input; a False
@@ -84,15 +84,15 @@ def eur_check(h_min_z: float, h_max_w: float, n: int = 2, slack: float = INEQ_SL
         if not (-ATOL_ALGEBRAIC <= h <= bound + INEQ_SLACK):
             raise ContractViolation(f"{name} = {h} outside [0, log2 n]")
     total = h_min_z + h_max_w
-    return total, bool(total >= bound - slack)
+    return total, bool(total >= bound - INEQ_SLACK)
 
 
-def wpdr_check(d: float, v: float, slack: float = INEQ_SLACK):
-    """Duality trade-off: returns (D^2 + V^2, value <= 1 + slack)."""
+def wpdr_check(d: float, v: float):
+    """Duality trade-off: returns (D^2 + V^2, value <= 1 + INEQ_SLACK)."""
     _check_unit_range("distinguishability", np.asarray(d, dtype=np.float64))
     _check_unit_range("visibility", np.asarray(v, dtype=np.float64))
     value = d * d + v * v
-    return value, bool(value <= 1.0 + slack)
+    return value, bool(value <= 1.0 + INEQ_SLACK)
 
 
 @dataclass(frozen=True)
@@ -147,7 +147,7 @@ def h_max_guessing_bound(g: GuessingInput) -> float:
 
 @dataclass(frozen=True)
 class DualityQuantities:
-    """One setting's duality scorecard: V, D, entropies, bound sums."""
+    """One setting's two-path duality scorecard: V, D, entropies, bound sums."""
 
     v: float
     d: float
@@ -157,7 +157,6 @@ class DualityQuantities:
     wpdr_value: float
     eur_satisfied: bool
     wpdr_satisfied: bool
-    n: int = 2
 
     def __post_init__(self):
         for name, x in (("v", self.v), ("d", self.d)):
@@ -167,16 +166,16 @@ class DualityQuantities:
             raise ContractViolation("eur_sum must equal h_min_z + h_max_w")
 
 
-def duality_from_v_d(v: float, d: float, n: int = 2, slack: float = INEQ_SLACK) -> DualityQuantities:
-    """Evaluate both closed forms and both bound predicates for measured (V, D)."""
+def duality_from_v_d(v: float, d: float) -> DualityQuantities:
+    """Evaluate both binary closed forms and both bound predicates for measured (V, D)."""
     hz = h_min_from_distinguishability(d)
     hw = h_max_from_visibility(v)
-    eur_sum, eur_ok = eur_check(hz, hw, n=n, slack=slack)
-    wpdr_value, wpdr_ok = wpdr_check(d, v, slack=slack)
+    eur_sum, eur_ok = eur_check(hz, hw)
+    wpdr_value, wpdr_ok = wpdr_check(d, v)
     return DualityQuantities(
         v=float(v), d=float(d), h_min_z=hz, h_max_w=hw,
         eur_sum=eur_sum, wpdr_value=wpdr_value,
-        eur_satisfied=eur_ok, wpdr_satisfied=wpdr_ok, n=n,
+        eur_satisfied=eur_ok, wpdr_satisfied=wpdr_ok,
     )
 
 

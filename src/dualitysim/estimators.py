@@ -5,9 +5,9 @@ Two routes are computed side by side and reported together:
 * the formula route feeds the count-based visibility and distinguishability
   estimates into the duality closed forms;
 * the definition route applies the min/max-entropy definitions directly to
-  measured probability distributions (the averaged blocked-path distribution
-  for the particle side, the renormalized pair of fringe-extremal detector
-  probabilities for the wave side).
+  measured probability distributions (the bias distribution of the pooled
+  distinguishability estimate D for the particle side, the renormalized pair
+  of fringe-extremal detector probabilities for the wave side).
 
 For binary data the two routes are algebraically identical; with raw counts
 they consume slightly different data (raw counts vs per-point-normalized
@@ -15,9 +15,12 @@ probabilities), so Monte Carlo runs show small differences that must stay
 within the propagated error bars.
 
 Error bars use first-order (delta method) propagation with Poisson variance
-equal to the count, and no bootstrap.  Fringe extrema are taken directly from
-the measured grid (argmax/argmin, ties broken toward the lowest phi_x): the
-optional sinusoid fit below is presentation-only and never feeds entropies.
+equal to the count, and no bootstrap.  One helper carries the propagation
+through every contrast ratio (a - b)/(a + b), and one carries the V and D
+sigmas into both routes' entropy and bound sigmas.  Fringe extrema are taken
+directly from the measured grid (argmax/argmin, ties broken toward the lowest
+phi_x): the optional sinusoid fit below is presentation-only and never feeds
+entropies.
 """
 from __future__ import annotations
 
@@ -26,11 +29,11 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .entropy import DualityQuantities, duality_from_v_d, h_max, h_min
+from .entropy import DualityQuantities, duality_from_v_d, eur_check, h_max, h_min
 from .errors import ContractViolation, EstimationError
 from .optics import BLOCK_NONE, BLOCK_PATH0, BLOCK_PATH1, BLOCKS
 from .states import ProbDist
-from .tolerances import ATOL_ALGEBRAIC, INEQ_SLACK
+from .tolerances import ATOL_ALGEBRAIC
 
 LN2 = math.log(2.0)
 
@@ -39,9 +42,6 @@ MIN_FRINGE_POINTS = 8
 
 FORMULA_ROUTE = "formula"
 DEFINITION_ROUTE = "definition"
-
-AVERAGE_DISTINGUISHABILITY = "distinguishability"
-AVERAGE_ENTROPY = "entropy"
 
 
 @dataclass(frozen=True)
@@ -157,15 +157,17 @@ def _extremal_indices(scan: FringeScan):
     return idx[int(np.argmax(phat))], idx[int(np.argmin(phat))]
 
 
+def _ratio_variance(a: float, b: float, s: float, var_a: float, var_b: float) -> float:
+    """Delta-method variance of the contrast (a - b)/s, s = a + b, for independent a and b."""
+    return (2.0 * b / s**2) ** 2 * var_a + (2.0 * a / s**2) ** 2 * var_b
+
+
 def estimate_visibility(scan: FringeScan) -> EstimateWithError:
     """Fringe visibility (N_max - N_min)/(N_max + N_min) from the grid extrema.
 
     The extrema are located on the per-point probabilities n1/(n1+n2) and the
     estimate uses the detector-1 counts at those two points.  The error bar
-    propagates Poisson variance through the ratio:
-
-        sigma_V^2 = (2 N_min / S^2)^2 N_max + (2 N_max / S^2)^2 N_min,
-        S = N_max + N_min.
+    propagates their Poisson variances (var N = N) through the ratio.
     """
     if scan.block != BLOCK_NONE:
         raise ContractViolation("visibility requires an open scan (block = none)")
@@ -186,8 +188,7 @@ def estimate_visibility(scan: FringeScan) -> EstimateWithError:
     # uncertainty; without the floor the boundary estimate V=1 would report
     # sigma 0 and defeat every downstream consistency check
     m_max, m_min = max(n_max, 1.0), max(n_min, 1.0)
-    var = (2.0 * m_min / s**2) ** 2 * m_max + (2.0 * m_max / s**2) ** 2 * m_min
-    return EstimateWithError((n_max - n_min) / s, math.sqrt(var))
+    return EstimateWithError((n_max - n_min) / s, math.sqrt(_ratio_variance(m_max, m_min, s, m_max, m_min)))
 
 
 def _pooled_bias(scan: FringeScan):
@@ -199,8 +200,7 @@ def _pooled_bias(scan: FringeScan):
     # same one-count floor as the visibility sigma: a dark detector is a
     # boundary estimate, not a zero-uncertainty one
     fa, fb = max(a, 1.0), max(b, 1.0)
-    var = (2.0 * fb / s**2) ** 2 * fa + (2.0 * fa / s**2) ** 2 * fb
-    return abs(a - b) / s, var
+    return abs(a - b) / s, _ratio_variance(fa, fb, s, fa, fb)
 
 
 def estimate_distinguishability(scan_blocked_0: FringeScan, scan_blocked_1: FringeScan) -> EstimateWithError:
@@ -211,17 +211,13 @@ def estimate_distinguishability(scan_blocked_0: FringeScan, scan_blocked_1: Frin
     makes the estimate insensitive to whether raw or conditioned counts came
     in.
     """
-    _require_blocked_pair(scan_blocked_0, scan_blocked_1)
-    d0, var0 = _pooled_bias(scan_blocked_0)
-    d1, var1 = _pooled_bias(scan_blocked_1)
-    return EstimateWithError(0.5 * (d0 + d1), 0.5 * math.sqrt(var0 + var1))
-
-
-def _require_blocked_pair(scan_blocked_0: FringeScan, scan_blocked_1: FringeScan) -> None:
     if scan_blocked_0.block != BLOCK_PATH0 or scan_blocked_1.block != BLOCK_PATH1:
         raise ContractViolation("expected scans with block = path0 and path1, in that order")
     if abs(scan_blocked_0.phi_s - scan_blocked_1.phi_s) > ATOL_ALGEBRAIC:
         raise ContractViolation("blocked scans must share the same phi_s")
+    d0, var0 = _pooled_bias(scan_blocked_0)
+    d1, var1 = _pooled_bias(scan_blocked_1)
+    return EstimateWithError(0.5 * (d0 + d1), 0.5 * math.sqrt(var0 + var1))
 
 
 def _clamp_unit(x: float):
@@ -246,19 +242,21 @@ def _h_max_slope(v: float) -> float:
     return v / (root * (1.0 + root) * LN2)
 
 
-def _sigma_pair(v: float, sigma_v: float, d: float, sigma_d: float):
+def _route_report(route: str, q: DualityQuantities, v, sigma_v, d, sigma_d, **flags) -> RouteReport:
+    """A route's scorecard with the V and D sigmas propagated through both closed forms."""
     s_hmin = _h_min_slope(d) * sigma_d
     s_hmax = _h_max_slope(v) * sigma_v
-    s_eur = math.hypot(s_hmin, s_hmax)
-    s_wpdr = math.hypot(2.0 * d * sigma_d, 2.0 * v * sigma_v)
-    return s_hmin, s_hmax, s_eur, s_wpdr
+    return RouteReport(
+        route=route, quantities=q, h_min_sigma=s_hmin, h_max_sigma=s_hmax,
+        eur_sigma=math.hypot(s_hmin, s_hmax),
+        wpdr_sigma=math.hypot(2.0 * d * sigma_d, 2.0 * v * sigma_v),
+        **flags,
+    )
 
 
 def eur_formula_route(
     visibility: EstimateWithError,
     distinguishability: EstimateWithError,
-    n: int = 2,
-    slack: float = INEQ_SLACK,
     dropped_points: int = 0,
 ) -> RouteReport:
     """Closed-form route: entropies from the V and D estimates.
@@ -269,28 +267,22 @@ def eur_formula_route(
     """
     v, clamped_v = _clamp_unit(visibility.value)
     d, clamped_d = _clamp_unit(distinguishability.value)
-    q = duality_from_v_d(v, d, n=n, slack=slack)
-    s_hmin, s_hmax, s_eur, s_wpdr = _sigma_pair(v, visibility.sigma, d, distinguishability.sigma)
-    return RouteReport(
-        route=FORMULA_ROUTE, quantities=q,
-        h_min_sigma=s_hmin, h_max_sigma=s_hmax, eur_sigma=s_eur, wpdr_sigma=s_wpdr,
+    return _route_report(
+        FORMULA_ROUTE, duality_from_v_d(v, d), v, visibility.sigma, d, distinguishability.sigma,
         clamped_v=clamped_v, clamped_d=clamped_d, dropped_points=dropped_points,
     )
 
 
 def eur_definition_route(
     scan_open: FringeScan,
-    scan_blocked_0: FringeScan,
-    scan_blocked_1: FringeScan,
-    averaging: str = AVERAGE_DISTINGUISHABILITY,
-    slack: float = INEQ_SLACK,
+    distinguishability: EstimateWithError,
+    dropped_points: int = 0,
 ) -> RouteReport:
     """Definition route: entropies evaluated on measured distributions.
 
-    Particle side: each blocked scan is pooled and converted to a bias D_k,
-    the two are averaged, and the min-entropy definition is applied to the
-    distribution ((1 + D)/2, (1 - D)/2).  ``averaging=AVERAGE_ENTROPY``
-    instead averages the per-scan min-entropies.
+    Particle side: the min-entropy definition is applied to the bias
+    distribution ((1 + D)/2, (1 - D)/2) of the pooled distinguishability
+    estimate D (see :func:`estimate_distinguishability`).
 
     Wave side: the max-entropy definition is applied to the detector-1
     per-point probabilities at the two fringe-extremal phi_x points,
@@ -299,25 +291,9 @@ def eur_definition_route(
     """
     if scan_open.block != BLOCK_NONE:
         raise ContractViolation("definition route needs an open scan first")
-    _require_blocked_pair(scan_blocked_0, scan_blocked_1)
-    if abs(scan_open.phi_s - scan_blocked_0.phi_s) > ATOL_ALGEBRAIC:
-        raise ContractViolation("open and blocked scans must share the same phi_s")
-    if averaging not in (AVERAGE_DISTINGUISHABILITY, AVERAGE_ENTROPY):
-        raise ContractViolation(f"unknown averaging convention {averaging!r}")
+    d = distinguishability.value
+    hz = h_min(_bias_distribution(d))
 
-    # Particle side.
-    d0, var0 = _pooled_bias(scan_blocked_0)
-    d1, var1 = _pooled_bias(scan_blocked_1)
-    d_bar = 0.5 * (d0 + d1)
-    sigma_d = 0.5 * math.sqrt(var0 + var1)
-    if averaging == AVERAGE_DISTINGUISHABILITY:
-        hz = h_min(_bias_distribution(d_bar))
-        s_hmin = _h_min_slope(d_bar) * sigma_d
-    else:
-        hz = 0.5 * (h_min(_bias_distribution(d0)) + h_min(_bias_distribution(d1)))
-        s_hmin = 0.5 * math.hypot(_h_min_slope(d0) * math.sqrt(var0), _h_min_slope(d1) * math.sqrt(var1))
-
-    # Wave side.
     i_max, i_min = _extremal_indices(scan_open)
     t_max, t_min = float(scan_open.totals[i_max]), float(scan_open.totals[i_min])
     p_max = float(scan_open.n1[i_max]) / t_max
@@ -327,25 +303,14 @@ def eur_definition_route(
         raise EstimationError("zero detector-1 probability at both fringe extrema")
     hw = h_max(ProbDist(np.array([p_max, p_min]) / s, ("fringe_max", "fringe_min")))
     contrast = (p_max - p_min) / s
-    var_pmax = p_max * (1.0 - p_max) / t_max
-    var_pmin = p_min * (1.0 - p_min) / t_min
-    var_c = (2.0 * p_min / s**2) ** 2 * var_pmax + (2.0 * p_max / s**2) ** 2 * var_pmin
-    sigma_c = math.sqrt(var_c)
-    s_hmax = 0.0 if sigma_c == 0.0 else _h_max_slope(contrast) * sigma_c
+    var_p = (p_max * (1.0 - p_max) / t_max, p_min * (1.0 - p_min) / t_min)
+    var_c = _ratio_variance(p_max, p_min, s, *var_p)
 
     # definition-route entropies replace the closed-form ones in the scorecard
-    eur_sum = hz + hw
-    q = replace(
-        duality_from_v_d(contrast, d_bar, slack=slack),
-        h_min_z=hz, h_max_w=hw, eur_sum=eur_sum, eur_satisfied=bool(eur_sum >= 1.0 - slack),
-    )
-    dropped = scan_open.empty_points + scan_blocked_0.empty_points + scan_blocked_1.empty_points
-    return RouteReport(
-        route=DEFINITION_ROUTE, quantities=q,
-        h_min_sigma=s_hmin, h_max_sigma=s_hmax,
-        eur_sigma=math.hypot(s_hmin, s_hmax),
-        wpdr_sigma=math.hypot(2.0 * d_bar * sigma_d, 2.0 * contrast * sigma_c),
-        dropped_points=dropped,
+    eur_sum, eur_ok = eur_check(hz, hw)
+    q = replace(duality_from_v_d(contrast, d), h_min_z=hz, h_max_w=hw, eur_sum=eur_sum, eur_satisfied=eur_ok)
+    return _route_report(
+        DEFINITION_ROUTE, q, contrast, math.sqrt(var_c), d, distinguishability.sigma, dropped_points=dropped_points,
     )
 
 
@@ -373,15 +338,15 @@ def duality_report(
     scan_blocked_0: FringeScan,
     scan_blocked_1: FringeScan,
     k: float = 1.0,
-    slack: float = INEQ_SLACK,
-    averaging: str = AVERAGE_DISTINGUISHABILITY,
 ) -> DualityReport:
     """Full dual-route scorecard for one phi_s setting."""
     visibility = estimate_visibility(scan_open)
     distinguishability = estimate_distinguishability(scan_blocked_0, scan_blocked_1)
+    if abs(scan_open.phi_s - scan_blocked_0.phi_s) > ATOL_ALGEBRAIC:
+        raise ContractViolation("open and blocked scans must share the same phi_s")
     dropped = scan_open.empty_points + scan_blocked_0.empty_points + scan_blocked_1.empty_points
-    formula = eur_formula_route(visibility, distinguishability, slack=slack, dropped_points=dropped)
-    definition = eur_definition_route(scan_open, scan_blocked_0, scan_blocked_1, averaging=averaging, slack=slack)
+    formula = eur_formula_route(visibility, distinguishability, dropped_points=dropped)
+    definition = eur_definition_route(scan_open, distinguishability, dropped_points=dropped)
     return DualityReport(
         phi_s=scan_open.phi_s,
         visibility=visibility,

@@ -14,10 +14,6 @@ import numpy as np
 from .errors import ContractViolation
 from .tolerances import ATOL_ALGEBRAIC, ATOL_NORM
 
-# A path amplitude is a plain complex number; invariants (finiteness) are
-# enforced on the containers below after every operation.
-ComplexAmp = complex
-
 UNITARY = "unitary"
 ATTENUATOR = "attenuator"
 ELEMENT_KINDS = (UNITARY, ATTENUATOR)
@@ -136,9 +132,6 @@ class ProbDist:
         if t <= 0.0:
             raise ContractViolation("cannot condition a zero-weight distribution")
         return ProbDist(self.probs / t, self.labels)
-
-    def as_dict(self) -> dict:
-        return dict(zip(self.labels, (float(x) for x in self.probs)))
 
 
 def apply_element(element: OpticalElement, state: PathState) -> PathState:

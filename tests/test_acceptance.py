@@ -6,6 +6,7 @@ criteria run on fixed seeds, so the whole suite is deterministic.
 """
 import math
 import time
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -29,7 +30,7 @@ from dualitysim import (
     visibility_from_guessing,
     wpdr_check,
 )
-from dualitysim.cli import DEFAULT_PHI_S, config_from_dict, load_config, run, serialize_config
+from dualitysim.cli import DEFAULT_PHI_S, config_from_dict, load_config, run
 from dualitysim.entropy import GuessingInput, ProbDist, h_max, h_min
 from dualitysim.estimators import flatness_check
 from dualitysim.montecarlo import cell_rng
@@ -241,7 +242,7 @@ def test_criterion_7_n_path_reductions():
 def test_criterion_8_determinism_golden(tmp_path):
     """Reference config reproduces byte-identical CSVs across runs."""
     t0 = time.time()
-    base = serialize_config(load_config(REFERENCE_CONFIG))
+    base = asdict(load_config(REFERENCE_CONFIG))
     outputs = []
     for label in ("a", "b"):
         cfg = config_from_dict({**base, "output_dir": str(tmp_path / label)})

@@ -2,6 +2,7 @@ import contextlib
 import io
 import json
 import math
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -26,7 +27,6 @@ from dualitysim.cli import (
     main,
     parse_angle,
     run,
-    serialize_config,
 )
 
 REPO = Path(__file__).resolve().parents[1]
@@ -114,10 +114,10 @@ class TestLoadConfig:
 
     def test_round_trip(self, tmp_path):
         cfg = load_config(REFERENCE_CONFIG)
-        again = config_from_dict(serialize_config(cfg))
+        again = config_from_dict(asdict(cfg))
         assert again == cfg
         # and through an actual file
-        path = write_config(tmp_path, serialize_config(cfg))
+        path = write_config(tmp_path, asdict(cfg))
         assert load_config(path) == cfg
 
     def test_round_trip_other_scenarios(self, tmp_path):
@@ -126,11 +126,11 @@ class TestLoadConfig:
             {"scenario": "eur-verify", "mode": "ideal", "plan": {"pulses_per_point": 777}},
         ):
             cfg = load_config(write_config(tmp_path, payload))
-            assert config_from_dict(serialize_config(cfg)) == cfg
+            assert config_from_dict(asdict(cfg)) == cfg
 
     def test_config_hash_stable(self):
         cfg = load_config(REFERENCE_CONFIG)
-        assert config_hash(cfg) == config_hash(config_from_dict(serialize_config(cfg)))
+        assert config_hash(cfg) == config_hash(config_from_dict(asdict(cfg)))
         assert len(config_hash(cfg)) == 64
 
 
@@ -177,7 +177,7 @@ class TestRunArtifacts:
 
     def test_montecarlo_reference_run(self, tmp_path):
         cfg = load_config(REFERENCE_CONFIG)
-        cfg = config_from_dict({**serialize_config(cfg), "output_dir": str(tmp_path / "ref")})
+        cfg = config_from_dict({**asdict(cfg), "output_dir": str(tmp_path / "ref")})
         assert run(cfg) == EXIT_OK
         report = json.loads((tmp_path / "ref" / "report.json").read_text())
         assert report["coherence"] == 0.967
@@ -291,6 +291,13 @@ UNUSABLE_INPUTS = {
     "angle_over_zero": ("sweep", {"plan": {"phi_s_values": ["pi/0"]}}),
     "angle_bare_point": ("sweep", {"plan": {"phi_s_values": [".pi"]}}),
     "mu_beyond_float": ("sweep", {"source": {"mu": 10**400}}),
+    "coherence_bool": ("sweep", {"plan": {"coherence": True}}),
+    "mu_bool": ("sweep", {"source": {"mu": True}}),
+    "efficiency_bool": ("sweep", {"detector": {"efficiency": True}}),
+    "duration_bool": ("switch", {"switch": {"duration_s": True}}),
+    "phi_s_bool": ("sweep", {"plan": {"phi_s_values": [True]}}),
+    "switch_pulses_beyond_cap": ("switch", {"switch": {"duration_s": 1e6, "bin_seconds": 1.0}}),
+    "rep_rate_beyond_pulse_cap": ("switch", {"source": {"rep_rate": 1e15}}),
 }
 
 

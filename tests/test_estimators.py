@@ -18,7 +18,7 @@ from dualitysim import (
     fit_fringe,
     run_sweep,
 )
-from dualitysim.estimators import AVERAGE_ENTROPY, flatness_check
+from dualitysim.estimators import flatness_check
 
 PHI_X_16 = np.linspace(0.0, 2.0 * math.pi, 16, endpoint=False)
 
@@ -173,7 +173,7 @@ class TestDefinitionRoute:
     def test_ideal_matches_formula_route(self):
         for phi_s in (0.0, math.pi / 8, math.pi / 4, math.pi / 2):
             scans = ideal_scans(phi_s)
-            defn = eur_definition_route(scans["none"], scans["path0"], scans["path1"])
+            defn = eur_definition_route(scans["none"], estimate_distinguishability(scans["path0"], scans["path1"]))
             formula = eur_formula_route(
                 estimate_visibility(scans["none"]),
                 estimate_distinguishability(scans["path0"], scans["path1"]),
@@ -183,13 +183,13 @@ class TestDefinitionRoute:
 
     def test_mirror_setting(self):
         scans = ideal_scans(0.0)
-        defn = eur_definition_route(scans["none"], scans["path0"], scans["path1"])
+        defn = eur_definition_route(scans["none"], estimate_distinguishability(scans["path0"], scans["path1"]))
         assert defn.quantities.h_min_z == pytest.approx(0.0, abs=1e-12)
         assert defn.quantities.h_max_w == pytest.approx(1.0, abs=1e-12)
 
     def test_balanced_setting(self):
         scans = ideal_scans(math.pi / 2, coherence=1.0)
-        defn = eur_definition_route(scans["none"], scans["path0"], scans["path1"])
+        defn = eur_definition_route(scans["none"], estimate_distinguishability(scans["path0"], scans["path1"]))
         assert defn.quantities.h_min_z == pytest.approx(1.0, abs=1e-12)
         assert defn.quantities.h_max_w == pytest.approx(0.0, abs=1e-12)
 
@@ -206,25 +206,12 @@ class TestDefinitionRoute:
             s_open = scan(raw_open[0] / t_open, raw_open[1] / t_open, phi_s=phi_s)
             s_b0 = scan(raw_b0[0] / t_b0, raw_b0[1] / t_b0, phi_s=phi_s, block="path0")
             s_b1 = scan(raw_b1[0] / t_b1, raw_b1[1] / t_b1, phi_s=phi_s, block="path1")
-            defn = eur_definition_route(s_open, s_b0, s_b1)
+            defn = eur_definition_route(s_open, estimate_distinguishability(s_b0, s_b1))
             formula = eur_formula_route(
                 estimate_visibility(s_open), estimate_distinguishability(s_b0, s_b1)
             )
             assert abs(defn.quantities.h_min_z - formula.quantities.h_min_z) < 1e-12
             assert abs(defn.quantities.h_max_w - formula.quantities.h_max_w) < 1e-12
-
-    def test_entropy_averaging_alternative(self):
-        scans = ideal_scans(math.pi / 4)
-        default = eur_definition_route(scans["none"], scans["path0"], scans["path1"])
-        alt = eur_definition_route(
-            scans["none"], scans["path0"], scans["path1"], averaging=AVERAGE_ENTROPY
-        )
-        # symmetric blocked scans: both conventions coincide in the ideal model
-        assert alt.quantities.h_min_z == pytest.approx(default.quantities.h_min_z, abs=1e-12)
-        with pytest.raises(ContractViolation):
-            eur_definition_route(
-                scans["none"], scans["path0"], scans["path1"], averaging="median"
-            )
 
 
 class TestEquivalenceAndReports:
@@ -285,6 +272,11 @@ class TestEquivalenceAndReports:
         rep = duality_report(broken, scans["path0"], scans["path1"])
         assert rep.formula.dropped_points == 1
         assert rep.definition.dropped_points == 1
+
+    def test_open_and_blocked_phi_s_must_match(self):
+        scans, other = ideal_scans(math.pi / 4), ideal_scans(math.pi / 3)
+        with pytest.raises(ContractViolation, match="open and blocked"):
+            duality_report(scans["none"], other["path0"], other["path1"])
 
 
 class TestScanValidation:
