@@ -88,8 +88,12 @@ class SwitchPlan:
     def __post_init__(self):
         if not all(math.isfinite(x) and x > 0 for x in dataclasses.astuple(self)):
             raise ConfigError("all durations and periods must be finite and positive")
-        if self.duration_s / self.bin_seconds > MAX_SWITCH_BINS:
+        bins = self.duration_s / self.bin_seconds
+        if bins > MAX_SWITCH_BINS:
             raise ConfigError(f"duration_s / bin_seconds asks for more than {MAX_SWITCH_BINS} bins")
+        # A ragged last bin would hold fewer pulses than pulses_per_bin says.
+        if round(bins) < 1 or abs(bins - round(bins)) > 1e-9 * bins:
+            raise ConfigError(f"duration_s must be a whole number of bin_seconds, got {bins!r} bins")
 
 
 @dataclass(frozen=True)
@@ -122,6 +126,8 @@ class ExperimentConfig:
             raise ConfigError("mode: the switch scenario is a sampled time series; use montecarlo")
         if self.scenario == "switch" and self.switch.duration_s * self.source.rep_rate > MAX_SWITCH_PULSES:
             raise ConfigError(f"switch.duration_s * source.rep_rate asks for more than {MAX_SWITCH_PULSES} pulses")
+        if self.scenario == "switch" and self.switch.bin_seconds * self.source.rep_rate < 1:
+            raise ConfigError("switch.bin_seconds * source.rep_rate asks for less than one pulse per bin")
 
 
 def _build(section: str, cls, kwargs):

@@ -14,10 +14,16 @@ scenario both call it.  The time-multiplexed single-detector readout of the
 experiment (D1 in the early gate, D2 in the late one) is a pure relabeling
 with afterpulsing off, so it is not modeled.
 
-Determinism contract: every grid cell draws from its own substream derived as
-a pure function of (seed, block index, phi_s index, phi_x index), first the
-D1 count and then the D2 count.  Identical plans produce bit-identical counts
-in any evaluation order.  The switch scenario draws from one stream, chunk by
+Determinism contract: every grid cell draws from its own substream, first
+the D1 count and then the D2 count.  The substream is exactly numpy's
+``PCG64(SeedSequence(seed, spawn_key=(block index, phi_s index, phi_x
+index)))``, so identical plans produce bit-identical counts in any
+evaluation order.  The sweep does not build those objects per cell: it
+computes SeedSequence's uint32 hash-mix for every cell of the plan in one
+array pass, seeds PCG64's LCG from the result, and sets one reused
+Generator to each cell's state in turn.  Reusing the Generator is safe
+because the only state its binomial sampler keeps between draws is a setup
+cache keyed on (n, p).  The switch scenario draws from one stream, chunk by
 chunk: every D1 uniform of a chunk, then every D2 uniform of it.
 """
 from __future__ import annotations
@@ -44,6 +50,30 @@ DEFAULT_PULSES_PER_POINT = 120_000  # 0.8 s integration at the default repetitio
 
 SWITCH_CHUNK_PULSES = 1_000_000  # pulses sampled per step of the switch scenario; bounds its memory
 MAX_PHI_X_STEPS = 2**16  # caps the cells and the memory a sweep plan may ask for
+# Caps the cells of a sweep (9 phi_s x 3 blocks x 2^16 steps fit); it also keeps
+# every spawn-key word of a cell below 2^32, one uint32 word each.
+MAX_SWEEP_CELLS = 2**21
+
+# numpy's SeedSequence hash-mix (pool of four uint32 words) and PCG64's LCG
+# multiplier; _substream_words and _pcg64_state reproduce their seeding.
+_POOL_SIZE = 4
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_U32, _U128 = 2**32 - 1, 2**128 - 1
+
+
+def _hash_constants(init: int, mult: int, calls: int) -> tuple:
+    consts = [init]
+    for _ in range(calls):
+        consts.append(consts[-1] * mult & _U32)
+    return tuple(consts)
+
+
+# The hash constant steps once per hash call: pool init and cross-mix
+# (POOL_SIZE^2 calls), then POOL_SIZE per spawn-key word (three of them);
+# the output hash has its own constants, one step per generated uint32 word.
+_MIX_HASH = _hash_constants(0x43B0D7E5, 0x931E8875, _POOL_SIZE**2 + 3 * _POOL_SIZE)
+_OUT_HASH = _hash_constants(0x8B51F9DD, 0x58F38DED, 2 * _POOL_SIZE)
 
 
 @dataclass(frozen=True)
@@ -118,6 +148,8 @@ class RunPlan:
                 raise ContractViolation(f"unknown block setting {b!r}")
         if len(set(self.blocks)) != len(self.blocks) or not self.blocks:
             raise ContractViolation("blocks must be a non-empty set of distinct settings")
+        if len(self.phi_s_values) * len(self.blocks) * int(steps) > MAX_SWEEP_CELLS:
+            raise ContractViolation(f"phi_s values x blocks x phi_x steps exceeds {MAX_SWEEP_CELLS} cells")
         if self.coherence is not None and not 0.0 <= self.coherence <= 1.0:
             raise ContractViolation("coherence must lie in [0, 1]")
         if not 0 <= self.seed < 2**64:
@@ -184,14 +216,68 @@ def simulate_point(
     return int(rng.binomial(pulses, c1)), int(rng.binomial(pulses, c2))
 
 
+def _hash(value, consts: tuple, k: int):
+    """SeedSequence's k-th hash step, in uint32 arithmetic on ints or uint32 arrays."""
+    value = (value ^ consts[k]) * consts[k + 1] & _U32
+    return value ^ value >> 16
+
+
+def _mix(x, y):
+    """SeedSequence's mix of a hashed word ``y`` into a pool word ``x``."""
+    r = ((_MIX_MULT_L * x & _U32) - (_MIX_MULT_R * y & _U32)) & _U32
+    return r ^ r >> 16
+
+
+def _substream_words(seed: int, block_index, phi_s_index, phi_x_index) -> np.ndarray:
+    """``SeedSequence(seed, spawn_key=(b, s, x)).generate_state(4, np.uint64)`` for every cell at once.
+
+    The indices broadcast against each other and must lie in [0, 2^32); the
+    result has their broadcast shape plus a last axis of four uint64 words.
+    The seed's pool is mixed once with ints, the three spawn-key words as
+    uint32 arrays.
+    """
+    seed = int(seed)
+    if not 0 <= seed < 2**64:
+        raise ContractViolation("seed must be a 64-bit unsigned integer")
+    # A seed below 2^64 is at most two 32-bit words, zero-padded to the pool size.
+    pool = [_hash(seed >> 32 * i & _U32, _MIX_HASH, i) for i in range(_POOL_SIZE)]
+    k = _POOL_SIZE
+    for src in range(_POOL_SIZE):
+        for dst in range(_POOL_SIZE):
+            if src != dst:
+                pool[dst] = _mix(pool[dst], _hash(pool[src], _MIX_HASH, k))
+                k += 1
+    for word in (block_index, phi_s_index, phi_x_index):
+        word = np.array(word, dtype=np.uint32, ndmin=1)
+        for dst in range(_POOL_SIZE):
+            pool[dst] = _mix(pool[dst], _hash(word, _MIX_HASH, k))
+            k += 1
+    words = np.empty(pool[0].shape + (_POOL_SIZE,), dtype=np.uint64)
+    for j in range(_POOL_SIZE):  # uint64 word j is generated uint32 words 2j (low) and 2j + 1 (high)
+        lo, hi = (_hash(pool[i % _POOL_SIZE], _OUT_HASH, i).astype(np.uint64) for i in (2 * j, 2 * j + 1))
+        words[..., j] = lo | hi << 32
+    return words
+
+
+def _pcg64_state(words) -> dict:
+    """The public state of PCG64 seeded from four generate_state words (numpy's srandom: two LCG steps)."""
+    initstate = words[0] << 64 | words[1]
+    inc = (words[2] << 64 | words[3]) << 1 & _U128 | 1
+    state = ((inc + initstate) * _PCG64_MULT + inc) & _U128
+    return {"bit_generator": "PCG64", "state": {"state": state, "inc": inc}, "has_uint32": 0, "uinteger": 0}
+
+
 def cell_rng(seed: int, block_index: int, phi_s_index: int, phi_x_index: int) -> np.random.Generator:
     """Substream for one grid cell; pure function of (seed, cell indices).
 
-    Uses a SeedSequence spawn key, so substreams are independent of each
-    other and of the order in which cells are evaluated.
+    Exactly ``Generator(PCG64(SeedSequence(seed, spawn_key=(b, s, x))))``,
+    derived as a one-cell call of the array pass :func:`run_sweep` makes.
+    Substreams are independent of each other and of the order in which cells
+    are evaluated.
     """
-    ss = np.random.SeedSequence(seed, spawn_key=(block_index, phi_s_index, phi_x_index))
-    return np.random.Generator(np.random.PCG64(ss))
+    rng = np.random.Generator(np.random.PCG64(0))  # its state is replaced below
+    rng.bit_generator.state = _pcg64_state(_substream_words(seed, block_index, phi_s_index, phi_x_index)[0].tolist())
+    return rng
 
 
 def sample_photon_numbers(mu: float, pulses: int, rng: np.random.Generator) -> np.ndarray:
@@ -219,7 +305,8 @@ def run_sweep(
     noiseless mass pulses * p, bypassing the click model and its ~mu_eff/2
     relative nonlinearity so that it reproduces the closed forms exactly.
     The Monte Carlo route draws each cell's D1 then D2 count from the
-    cell's own substream.
+    cell's own substream (see :func:`cell_rng`), with every cell's state
+    derived up front in one array pass and one Generator set to each in turn.
     """
     if mode not in MODES:
         raise ContractViolation(f"mode must be one of {MODES}")
@@ -228,17 +315,22 @@ def run_sweep(
     coherence = plan.resolved_coherence(mode)
     phi_x = plan.phi_x_values()
     pulses = plan.pulses_per_point
+    if mode == MONTECARLO_MODE:
+        b_idx = np.array([BLOCKS.index(block) for block in plan.blocks])
+        s_idx = np.arange(len(plan.phi_s_values))
+        words = _substream_words(plan.seed, b_idx[:, None], s_idx[:, None, None], np.arange(phi_x.size))  # (s, b, x, 4)
+        rng = np.random.Generator(np.random.PCG64(0))  # its state is set cell by cell
     scans = []
-    for s_idx, phi_s in enumerate(plan.phi_s_values):
-        for block in plan.blocks:
+    for s_pos, phi_s in enumerate(plan.phi_s_values):
+        for b_pos, block in enumerate(plan.blocks):
             p = raw_probs(phi_x, phi_s, block, coherence)
             if mode == IDEAL_MODE:
                 counts = pulses * p
             else:
-                b_idx = BLOCKS.index(block)
                 counts = np.empty_like(p)
-                for x_idx, (c1, c2) in enumerate(click_probs(p, source, detector).T.tolist()):
-                    rng = cell_rng(plan.seed, b_idx, s_idx, x_idx)
+                cells = zip(click_probs(p, source, detector).T.tolist(), words[s_pos, b_pos].tolist())
+                for x_idx, ((c1, c2), cell_words) in enumerate(cells):
+                    rng.bit_generator.state = _pcg64_state(cell_words)
                     counts[:, x_idx] = rng.binomial(pulses, c1), rng.binomial(pulses, c2)
             scans.append(FringeScan(
                 phi_s=phi_s, block=block, phi_x=phi_x, n1=counts[0], n2=counts[1],

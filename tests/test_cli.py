@@ -298,6 +298,11 @@ UNUSABLE_INPUTS = {
     "phi_s_bool": ("sweep", {"plan": {"phi_s_values": [True]}}),
     "switch_pulses_beyond_cap": ("switch", {"switch": {"duration_s": 1e6, "bin_seconds": 1.0}}),
     "rep_rate_beyond_pulse_cap": ("switch", {"source": {"rep_rate": 1e15}}),
+    "switch_bin_beyond_duration": ("switch", {"switch": {"duration_s": 1, "bin_seconds": 5}}),
+    "switch_partial_last_bin": ("switch", {"switch": {"duration_s": 1.0, "bin_seconds": 0.3}}),
+    "switch_zero_pulses": ("switch", {"switch": {"duration_s": 1e-9}}),
+    "switch_bin_under_one_pulse": ("switch", {"switch": {"duration_s": 1e-6, "bin_seconds": 1e-6}}),
+    "sweep_cells_beyond_cap": ("sweep", {"plan": {"phi_s_values": [0.1] * 33, "phi_x_grid": [0, "2pi", 2**16]}}),
 }
 
 

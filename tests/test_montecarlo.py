@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dualitysim import (
     CircuitConfig,
@@ -24,6 +26,8 @@ from dualitysim import montecarlo
 from dualitysim.montecarlo import (
     DEFAULT_COHERENCE_MC,
     IDEAL_MODE,
+    MAX_PHI_X_STEPS,
+    MAX_SWEEP_CELLS,
     triangle_wave,
 )
 from dualitysim.optics import BLOCKS, open_p1
@@ -169,14 +173,15 @@ class TestRunSweep:
 
     def test_rows_match_per_cell_sampling(self):
         # the row evaluation keeps the per-cell contract: cell (b, s, x) is
-        # simulate_point on its own substream, D1 drawn before D2
+        # simulate_point on numpy's own SeedSequence substream, D1 drawn before D2
         plan = RunPlan(phi_s_values=(0.0, 0.7, math.pi / 2), seed=31, pulses_per_point=40_000, coherence=0.9)
         noisy = DetectorConfig(dark_prob=1e-4)
         for scan in run_sweep(plan, SRC, noisy):
             b_idx, s_idx = BLOCKS.index(scan.block), plan.phi_s_values.index(scan.phi_s)
             for x_idx, (phi_x, n1, n2) in enumerate(scan.points()):
                 cfg = CircuitConfig(phi_x, scan.phi_s, block=scan.block, coherence=0.9)
-                rng = cell_rng(plan.seed, b_idx, s_idx, x_idx)
+                ss = np.random.SeedSequence(plan.seed, spawn_key=(b_idx, s_idx, x_idx))
+                rng = np.random.Generator(np.random.PCG64(ss))
                 assert (n1, n2) == simulate_point(cfg, SRC, noisy, plan.pulses_per_point, rng)
 
     def test_cell_counts_independent_of_plan_shape(self):
@@ -246,6 +251,26 @@ class TestRunSweep:
             RunPlan(phi_s_values=(0.1,), blocks=("nope",))
         with pytest.raises(ContractViolation):
             RunPlan(phi_s_values=(0.1,), seed=-1)
+
+    def test_sweep_cell_cap(self):
+        grid = (0.0, 2 * math.pi, MAX_PHI_X_STEPS)
+        RunPlan(phi_s_values=(0.1,) * 9, phi_x_grid=grid)  # 9 x 3 x 2^16 cells
+        too_many = MAX_SWEEP_CELLS // (3 * MAX_PHI_X_STEPS) + 1
+        with pytest.raises(ContractViolation, match="cells"):
+            RunPlan(phi_s_values=(0.1,) * too_many, phi_x_grid=grid)
+
+    @settings(max_examples=300, deadline=None, derandomize=True)  # the same examples on every run
+    @given(
+        seed=st.sampled_from([0, 2**32 - 1, 2**32, 2**64 - 1]) | st.integers(0, 2**64 - 1),
+        key=st.tuples(st.integers(0, 2), st.integers(0, 10**4), st.integers(0, MAX_PHI_X_STEPS - 1)),
+    )
+    def test_cell_rng_is_numpy_seed_sequence_substream(self, seed, key):
+        want = np.random.PCG64(np.random.SeedSequence(seed, spawn_key=key))
+        got = cell_rng(seed, *key)
+        assert got.bit_generator.state == want.state
+        reference = np.random.Generator(want)
+        assert got.binomial(120_000, 0.0013) == reference.binomial(120_000, 0.0013)
+        assert np.array_equal(got.random(3), reference.random(3))
 
     def test_substreams_differ_between_cells(self):
         a = cell_rng(3, 0, 0, 0).integers(0, 2**32, size=4)
