@@ -51,7 +51,6 @@ from .montecarlo import (
     click_probabilities,
     click_probs,
     effective_mean_photons,
-    expected_counts,
     multi_photon_fraction,
     run_dynamic_switch,
     run_sweep,

@@ -7,8 +7,8 @@ every produced point).
 
 Artifacts are written with pinned formats so goldens diff exactly: CSV with a
 header row, LF line endings, '.' decimal separator, floats serialized with
-shortest round-trip precision (17 significant digits); report.json mirrors
-every CSV quantity plus provenance (seed, config hash).
+shortest round-trip precision (``repr``), whole values as integers;
+report.json mirrors every CSV quantity plus provenance (seed, config hash).
 
 Exit codes: 0 success; 1 bad configuration, or count data too degenerate to
 estimate from; 2 a physically generated run violated the entropic bound or
@@ -76,6 +76,11 @@ def parse_angle(value) -> float:
         raise ConfigError(f"cannot parse angle {value!r} (use radians or pi fractions)") from None
 
 
+def _whole(x: float) -> bool:
+    """Whether x is a whole number of at least 1, to a relative tolerance of 1e-9."""
+    return round(x) >= 1 and abs(x - round(x)) <= 1e-9 * x
+
+
 @dataclass(frozen=True)
 class SwitchPlan:
     """Timing of the dynamic switching scenario."""
@@ -92,7 +97,7 @@ class SwitchPlan:
         if bins > MAX_SWITCH_BINS:
             raise ConfigError(f"duration_s / bin_seconds asks for more than {MAX_SWITCH_BINS} bins")
         # A ragged last bin would hold fewer pulses than pulses_per_bin says.
-        if round(bins) < 1 or abs(bins - round(bins)) > 1e-9 * bins:
+        if not _whole(bins):
             raise ConfigError(f"duration_s must be a whole number of bin_seconds, got {bins!r} bins")
 
 
@@ -126,8 +131,10 @@ class ExperimentConfig:
             raise ConfigError("mode: the switch scenario is a sampled time series; use montecarlo")
         if self.scenario == "switch" and self.switch.duration_s * self.source.rep_rate > MAX_SWITCH_PULSES:
             raise ConfigError(f"switch.duration_s * source.rep_rate asks for more than {MAX_SWITCH_PULSES} pulses")
-        if self.scenario == "switch" and self.switch.bin_seconds * self.source.rep_rate < 1:
-            raise ConfigError("switch.bin_seconds * source.rep_rate asks for less than one pulse per bin")
+        # Unequal bins would hold other pulse counts than the reported pulses_per_bin.
+        per_bin = self.switch.bin_seconds * self.source.rep_rate
+        if self.scenario == "switch" and not _whole(per_bin):
+            raise ConfigError(f"switch.bin_seconds * source.rep_rate must be a whole number of pulses, got {per_bin!r}")
 
 
 def _build(section: str, cls, kwargs):
@@ -211,21 +218,30 @@ def config_hash(cfg: ExperimentConfig) -> str:
     return hashlib.sha256(blob).hexdigest()
 
 
-def _fmt(x) -> str:
-    if isinstance(x, (int, np.integer)):
-        return str(int(x))
-    f = float(x)
-    return str(int(f)) if f.is_integer() else repr(f)
+def _column(values) -> list:
+    """CSV fields of a float column: whole values as integers, the rest as shortest round-trip ``repr``."""
+    return [str(int(v)) if v.is_integer() else repr(v) for v in np.asarray(values, dtype=np.float64).tolist()]
 
 
-def _write_fringes_csv(path: Path, scans) -> None:
-    lines = ["phi_s,phi_x,block,n1,n2,pulses"]
+def _write_csv(path: Path, header: str, blocks) -> None:
+    """Write ``header``, then each block (a list of equal-length field columns) row by row, one block at a time."""
+    with open(path, "w", newline="\n") as fh:
+        fh.write(header + "\n")
+        for columns in blocks:
+            fh.writelines(",".join(row) + "\n" for row in zip(*columns))
+
+
+def _write_json(path: Path, obj) -> None:
+    path.write_text(json.dumps(obj, indent=2, sort_keys=True) + "\n", newline="\n")
+
+
+def _fringe_blocks(scans):
+    """One block of fringes.csv columns per scan, formatted as the writer reaches it."""
+    phi_x = _column(scans[0].phi_x)  # every scan of a sweep shares its plan's phi_x grid
+    n = len(phi_x)
     for scan in scans:
-        for phi_x, n1, n2 in scan.points():
-            lines.append(
-                f"{_fmt(scan.phi_s)},{_fmt(phi_x)},{scan.block},{_fmt(n1)},{_fmt(n2)},{scan.pulses_per_point}"
-            )
-    path.write_text("\n".join(lines) + "\n", newline="\n")
+        yield [_column([scan.phi_s]) * n, phi_x, [scan.block] * n, _column(scan.n1), _column(scan.n2),
+               [str(scan.pulses_per_point)] * n]
 
 
 DUALITY_HEADER = (
@@ -236,11 +252,11 @@ DUALITY_HEADER = (
 )
 
 
-def _write_duality_csv(path: Path, reports) -> None:
-    lines = [DUALITY_HEADER]
+def _duality_columns(reports) -> list:
+    rows = []
     for r in reports:
         f, d = r.formula, r.definition
-        cells = [
+        rows.append([
             r.phi_s,
             r.visibility.value, r.visibility.sigma,
             r.distinguishability.value, r.distinguishability.sigma,
@@ -249,46 +265,22 @@ def _write_duality_csv(path: Path, reports) -> None:
             f.quantities.wpdr_value,
             f.h_min_sigma, f.h_max_sigma, f.eur_sigma,
             d.h_min_sigma, d.h_max_sigma, d.eur_sigma,
-        ]
-        lines.append(",".join(_fmt(c) for c in cells))
-    path.write_text("\n".join(lines) + "\n", newline="\n")
-
-
-def _write_timeseries_csv(path: Path, trace) -> None:
-    lines = ["t,phi_s,phi_x,n1,n2"]
-    for t, ps, px, n1, n2 in zip(trace.t, trace.phi_s, trace.phi_x, trace.n1, trace.n2):
-        lines.append(f"{_fmt(t)},{_fmt(ps)},{_fmt(px)},{_fmt(n1)},{_fmt(n2)}")
-    path.write_text("\n".join(lines) + "\n", newline="\n")
-
-
-def _route_dict(route) -> dict:
-    q = route.quantities
-    return {
-        "v": q.v, "d": q.d,
-        "h_min_z": q.h_min_z, "h_max_w": q.h_max_w,
-        "eur_sum": q.eur_sum, "wpdr_value": q.wpdr_value,
-        "eur_satisfied": q.eur_satisfied, "wpdr_satisfied": q.wpdr_satisfied,
-        "h_min_sigma": route.h_min_sigma, "h_max_sigma": route.h_max_sigma,
-        "eur_sigma": route.eur_sigma, "wpdr_sigma": route.wpdr_sigma,
-        "clamped_v": route.clamped_v, "clamped_d": route.clamped_d,
-        "dropped_points": route.dropped_points,
-    }
+        ])
+    return [_column(col) for col in np.array(rows, ndmin=2).T]
 
 
 def _report_dict(r: DualityReport) -> dict:
-    eq = r.equivalence
-    return {
+    """One report.json point: V, D, and every field of both routes' reports and of their equivalence."""
+    point = {
         "phi_s": r.phi_s,
         "V": r.visibility.value, "V_sigma": r.visibility.sigma,
         "D": r.distinguishability.value, "D_sigma": r.distinguishability.sigma,
-        "formula": _route_dict(r.formula),
-        "definition": _route_dict(r.definition),
-        "equivalence": {
-            "d_h_min": eq.d_h_min, "d_h_max": eq.d_h_max, "d_eur": eq.d_eur,
-            "within_h_min": eq.within_h_min, "within_h_max": eq.within_h_max,
-            "within_eur": eq.within_eur, "k": eq.k,
-        },
+        "equivalence": dict(vars(r.equivalence)),
     }
+    for route in (r.formula, r.definition):
+        fields = point[route.route] = {**vars(route.quantities), **vars(route)}
+        del fields["route"], fields["quantities"]
+    return point
 
 
 def _violations(reports, mode: str) -> list:
@@ -346,9 +338,10 @@ def run(cfg: ExperimentConfig) -> int:
                 coherence=cfg.plan.resolved_coherence(cfg.mode),
                 bin_seconds=cfg.switch.bin_seconds,
             )
-            _write_timeseries_csv(out / "timeseries.csv", trace)
+            columns = [_column(x) for x in (trace.t, trace.phi_s, trace.phi_x, trace.n1, trace.n2)]
+            _write_csv(out / "timeseries.csv", "t,phi_s,phi_x,n1,n2", [columns])
             report = dict(provenance, bins=int(trace.t.size), pulses_per_bin=trace.pulses_per_bin)
-            (out / "report.json").write_text(json.dumps(report, indent=2, sort_keys=True) + "\n", newline="\n")
+            _write_json(out / "report.json", report)
             return EXIT_OK
 
         scans = run_sweep(cfg.plan, cfg.source, cfg.detector, mode=cfg.mode)
@@ -358,15 +351,14 @@ def run(cfg: ExperimentConfig) -> int:
             for phi_s in cfg.plan.phi_s_values
         ]
         violations = _violations(reports, cfg.mode)
-        _write_fringes_csv(out / "fringes.csv", scans)
-        _write_duality_csv(out / "duality.csv", reports)
-        report = dict(
+        _write_csv(out / "fringes.csv", "phi_s,phi_x,block,n1,n2,pulses", _fringe_blocks(scans))
+        _write_csv(out / "duality.csv", DUALITY_HEADER, [_duality_columns(reports)])
+        _write_json(out / "report.json", dict(
             provenance,
             points=[_report_dict(r) for r in reports],
             violations=violations,
             dropped_points=sum(r.formula.dropped_points for r in reports),
-        )
-        (out / "report.json").write_text(json.dumps(report, indent=2, sort_keys=True) + "\n", newline="\n")
+        ))
         if cfg.scenario == "eur-verify":
             for r in reports:
                 f = r.formula.quantities

@@ -180,7 +180,6 @@ def duality_from_v_d(v: float, d: float) -> DualityQuantities:
 
 
 def _check_unit_range(name: str, x: np.ndarray) -> None:
-    if not np.all(np.isfinite(x)):
-        raise ContractViolation(f"{name} must be finite")
-    if np.any(x < -ATOL_ALGEBRAIC) or np.any(x > 1.0 + ATOL_ALGEBRAIC):
-        raise ContractViolation(f"{name} outside [0, 1]")
+    # one pass: NaN fails both comparisons, and +-inf fails one
+    if not np.all((x >= -ATOL_ALGEBRAIC) & (x <= 1.0 + ATOL_ALGEBRAIC)):
+        raise ContractViolation(f"{name} must be finite and within [0, 1]")

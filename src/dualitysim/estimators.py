@@ -54,8 +54,6 @@ class FringeScan:
     n1: np.ndarray
     n2: np.ndarray
     pulses_per_point: int
-    seed: int | None = None
-    mode: str = "montecarlo"
 
     def __post_init__(self):
         for name in ("phi_x", "n1", "n2"):
@@ -75,10 +73,6 @@ class FringeScan:
                 raise ContractViolation(f"{name} counts must be finite and nonnegative")
         if self.pulses_per_point < 0:
             raise ContractViolation("pulses_per_point must be nonnegative")
-
-    def points(self):
-        """Iterate (phi_x, n1, n2) tuples."""
-        return zip(self.phi_x.tolist(), self.n1.tolist(), self.n2.tolist())
 
     @property
     def totals(self) -> np.ndarray:

@@ -190,12 +190,6 @@ def click_probabilities(cfg: CircuitConfig, source: SourceConfig, detector: Dete
     return float(c1), float(c2)
 
 
-def expected_counts(cfg: CircuitConfig, source: SourceConfig, detector: DetectorConfig, pulses: int):
-    """Expected click counts over a point; the noiseless limit of simulate_point."""
-    c1, c2 = click_probabilities(cfg, source, detector)
-    return pulses * c1, pulses * c2
-
-
 def simulate_point(
     cfg: CircuitConfig,
     source: SourceConfig,
@@ -332,10 +326,7 @@ def run_sweep(
                 for x_idx, ((c1, c2), cell_words) in enumerate(cells):
                     rng.bit_generator.state = _pcg64_state(cell_words)
                     counts[:, x_idx] = rng.binomial(pulses, c1), rng.binomial(pulses, c2)
-            scans.append(FringeScan(
-                phi_s=phi_s, block=block, phi_x=phi_x, n1=counts[0], n2=counts[1],
-                pulses_per_point=pulses, seed=plan.seed, mode=mode,
-            ))
+            scans.append(FringeScan(phi_s, block, phi_x, n1=counts[0], n2=counts[1], pulses_per_point=pulses))
     return scans
 
 

@@ -2,7 +2,7 @@ import contextlib
 import io
 import json
 import math
-from dataclasses import asdict
+from dataclasses import asdict, fields
 from pathlib import Path
 
 import numpy as np
@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dualitysim import ConfigError, ContractViolation
+from dualitysim import ConfigError, ContractViolation, DualityQuantities, EquivalenceReport, RouteReport
 from dualitysim.cli import (
     DEFAULT_PHI_S,
     DEFAULT_SEED,
@@ -27,6 +27,8 @@ from dualitysim.cli import (
     main,
     parse_angle,
     run,
+    _column,
+    _write_csv,
 )
 
 REPO = Path(__file__).resolve().parents[1]
@@ -161,6 +163,11 @@ class TestRunArtifacts:
         assert report["violations"] == []
         assert len(report["points"]) == 3
         assert report["config_sha256"] == config_hash(cfg)
+        route_fields = {f.name for f in fields(DualityQuantities) + fields(RouteReport)} - {"route", "quantities"}
+        for point in report["points"]:
+            assert set(point) == {"phi_s", "V", "V_sigma", "D", "D_sigma", "formula", "definition", "equivalence"}
+            assert set(point["formula"]) == set(point["definition"]) == route_fields
+            assert set(point["equivalence"]) == {f.name for f in fields(EquivalenceReport)}
 
     def test_switch_writes_timeseries(self, tmp_path):
         cfg = config_from_dict(
@@ -220,6 +227,27 @@ class TestRunArtifacts:
             }
         )
         assert run(cfg) == EXIT_VIOLATION
+
+
+def _per_value_fmt(x) -> str:
+    """The per-value CSV formatter that _column replaced, kept as its reference."""
+    if isinstance(x, (int, np.integer)):
+        return str(int(x))
+    f = float(x)
+    return str(int(f)) if f.is_integer() else repr(f)
+
+
+class TestCsvWriter:
+    VALUES = [0.0, -0.0, 1.0, -2.5, 0.1, 1 / 3, 2.0**53, 2.0**60, 1e300, 5e-324, math.nan, math.inf, -math.inf]
+
+    def test_column_matches_per_value_formatter(self):
+        assert _column(self.VALUES) == [_per_value_fmt(v) for v in self.VALUES]
+        assert _column(np.array(self.VALUES)) == [_per_value_fmt(v) for v in self.VALUES]
+
+    def test_zero_rows_write_only_the_header(self, tmp_path):
+        for blocks in ([], [[[], []]]):
+            _write_csv(tmp_path / "empty.csv", "a,b", blocks)
+            assert (tmp_path / "empty.csv").read_bytes() == b"a,b\n"
 
 
 class TestMain:
@@ -302,6 +330,7 @@ UNUSABLE_INPUTS = {
     "switch_partial_last_bin": ("switch", {"switch": {"duration_s": 1.0, "bin_seconds": 0.3}}),
     "switch_zero_pulses": ("switch", {"switch": {"duration_s": 1e-9}}),
     "switch_bin_under_one_pulse": ("switch", {"switch": {"duration_s": 1e-6, "bin_seconds": 1e-6}}),
+    "switch_fractional_pulses_per_bin": ("switch", {"switch": {"duration_s": 0.001, "bin_seconds": 1e-5}}),
     "sweep_cells_beyond_cap": ("sweep", {"plan": {"phi_s_values": [0.1] * 33, "phi_x_grid": [0, "2pi", 2**16]}}),
 }
 

@@ -93,6 +93,16 @@ class TestClosedForms:
         with pytest.raises(ContractViolation):
             h_max_from_visibility(-0.2)
 
+    @pytest.mark.parametrize("as_array", [False, True], ids=["scalar", "array"])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, -2e-12, 1.0 + 2e-12])
+    @pytest.mark.parametrize("check", [
+        h_min_binary, h_max_binary, h_min_from_distinguishability, h_max_from_visibility,
+        lambda x: wpdr_check(x, 0.5), lambda x: wpdr_check(0.5, x),
+    ], ids=["h_min_binary", "h_max_binary", "h_min_from_d", "h_max_from_v", "wpdr_d", "wpdr_v"])
+    def test_non_finite_or_beyond_tolerance_rejected(self, check, bad, as_array):
+        with pytest.raises(ContractViolation):
+            check(np.array([0.0, 0.5, bad, 1.0]) if as_array else bad)
+
     def test_strictly_decreasing(self):
         x = np.linspace(0.0, 1.0, 2001)
         assert np.all(np.diff(h_min_from_distinguishability(x)) < 0)

@@ -290,11 +290,6 @@ class TestScanValidation:
         with pytest.raises(ContractViolation):
             scan(np.full(16, 1.0), np.full(16, 1.0), phi_x=x)
 
-    def test_points_iterator(self):
-        s = scan(np.arange(16.0), np.ones(16))
-        pts = list(s.points())
-        assert len(pts) == 16 and pts[2][1] == 2.0
-
 
 class TestFlatnessAndFit:
     def test_flat_scan_passes(self):

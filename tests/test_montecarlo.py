@@ -15,8 +15,8 @@ from dualitysim import (
     click_probabilities,
     click_probs,
     effective_mean_photons,
-    expected_counts,
     multi_photon_fraction,
+    raw_probs,
     run_dynamic_switch,
     run_sweep,
     sample_photon_numbers,
@@ -77,11 +77,8 @@ class TestClickModel:
         assert c1 == pytest.approx(-math.expm1(-mu_eff * 0.5), rel=1e-12)
 
     def test_expected_counts_monotone_in_loss(self):
-        cfg = CircuitConfig(0.7, 0.9)
-        totals = []
-        for loss in (6.0, 9.0, 12.0, 15.0, 20.0):
-            n1, n2 = expected_counts(cfg, SRC, DetectorConfig(system_loss_db=loss), 10**6)
-            totals.append(n1 + n2)
+        losses = (6.0, 9.0, 12.0, 15.0, 20.0)
+        totals = [click_probs(raw_probs(0.7, 0.9), SRC, DetectorConfig(system_loss_db=loss)).sum() for loss in losses]
         assert all(a > b for a, b in zip(totals, totals[1:]))
 
 
@@ -178,7 +175,7 @@ class TestRunSweep:
         noisy = DetectorConfig(dark_prob=1e-4)
         for scan in run_sweep(plan, SRC, noisy):
             b_idx, s_idx = BLOCKS.index(scan.block), plan.phi_s_values.index(scan.phi_s)
-            for x_idx, (phi_x, n1, n2) in enumerate(scan.points()):
+            for x_idx, (phi_x, n1, n2) in enumerate(zip(scan.phi_x.tolist(), scan.n1.tolist(), scan.n2.tolist())):
                 cfg = CircuitConfig(phi_x, scan.phi_s, block=scan.block, coherence=0.9)
                 ss = np.random.SeedSequence(plan.seed, spawn_key=(b_idx, s_idx, x_idx))
                 rng = np.random.Generator(np.random.PCG64(ss))
