@@ -11,14 +11,7 @@ import sys
 
 import numpy as np
 
-from dualitysim import (
-    DetectorConfig,
-    RunPlan,
-    SourceConfig,
-    estimate_distinguishability,
-    estimate_visibility,
-    run_sweep,
-)
+from dualitysim import BLOCKS, DetectorConfig, RunPlan, SourceConfig, duality_report, run_sweep
 
 phi_s_values = tuple(np.linspace(0.0, math.pi / 2, 5))
 plan = RunPlan(phi_s_values=phi_s_values, pulses_per_point=120_000, coherence=0.967, seed=2)
@@ -28,12 +21,12 @@ print(f"mean photons per gate {source.mu}, efficiency {detector.efficiency}, "
       f"loss {detector.system_loss_db} dB, {plan.pulses_per_point} pulses per point")
 scans = {(s.phi_s, s.block): s for s in run_sweep(plan, source, detector)}
 
+reports = duality_report(*([scans[(phi_s, block)] for phi_s in phi_s_values] for block in BLOCKS))
+
 print(f"\n{'phi_s':>8} {'V':>8} {'+-':>7} {'D':>8} {'+-':>7}   counts at fringe peak")
-for phi_s in phi_s_values:
-    open_scan = scans[(phi_s, "none")]
-    v = estimate_visibility(open_scan)
-    d = estimate_distinguishability(scans[(phi_s, "path0")], scans[(phi_s, "path1")])
-    peak = int(open_scan.n1.max())
+for phi_s, rep in zip(phi_s_values, reports):
+    v, d = rep.visibility, rep.distinguishability
+    peak = int(scans[(phi_s, "none")].n1.max())
     print(f"{phi_s:8.4f} {v.value:8.4f} {v.sigma:7.4f} {d.value:8.4f} {d.sigma:7.4f}   {peak}")
 
 print("\nthe mirror setting shows no fringe; the balanced setting reaches the "

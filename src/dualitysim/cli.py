@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import hashlib
 import json
 import math
@@ -29,7 +30,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .entropy import duality_from_v_d
+from .entropy import duality_columns
 from .errors import ConfigError, ContractViolation, EstimationError
 from .estimators import MIN_FRINGE_POINTS, DualityReport, duality_report
 from .montecarlo import (
@@ -39,6 +40,7 @@ from .montecarlo import (
     DetectorConfig,
     RunPlan,
     SourceConfig,
+    is_whole,
     run_dynamic_switch,
     run_sweep,
 )
@@ -76,11 +78,6 @@ def parse_angle(value) -> float:
         raise ConfigError(f"cannot parse angle {value!r} (use radians or pi fractions)") from None
 
 
-def _whole(x: float) -> bool:
-    """Whether x is a whole number of at least 1, to a relative tolerance of 1e-9."""
-    return round(x) >= 1 and abs(x - round(x)) <= 1e-9 * x
-
-
 @dataclass(frozen=True)
 class SwitchPlan:
     """Timing of the dynamic switching scenario."""
@@ -97,7 +94,7 @@ class SwitchPlan:
         if bins > MAX_SWITCH_BINS:
             raise ConfigError(f"duration_s / bin_seconds asks for more than {MAX_SWITCH_BINS} bins")
         # A ragged last bin would hold fewer pulses than pulses_per_bin says.
-        if not _whole(bins):
+        if not is_whole(bins):
             raise ConfigError(f"duration_s must be a whole number of bin_seconds, got {bins!r} bins")
 
 
@@ -133,7 +130,7 @@ class ExperimentConfig:
             raise ConfigError(f"switch.duration_s * source.rep_rate asks for more than {MAX_SWITCH_PULSES} pulses")
         # Unequal bins would hold other pulse counts than the reported pulses_per_bin.
         per_bin = self.switch.bin_seconds * self.source.rep_rate
-        if self.scenario == "switch" and not _whole(per_bin):
+        if self.scenario == "switch" and not is_whole(per_bin):
             raise ConfigError(f"switch.bin_seconds * source.rep_rate must be a whole number of pulses, got {per_bin!r}")
 
 
@@ -287,24 +284,25 @@ def _violations(reports, mode: str) -> list:
     """Bound failures beyond tolerance (a genuine one signals a simulator bug).
 
     The compatibility test relaxes the V and D estimates by 3 sigma toward
-    the bound-satisfying region and re-evaluates both bounds there.  Working
-    in (V, D) space keeps the test meaningful at the estimator boundaries
-    (V = 1 or D = 1), where the entropy closed forms have divergent slope and
-    first-order entropy sigmas collapse.  Ideal mode allows no statistical
-    slack.
+    the bound-satisfying region and re-evaluates both bounds there, for every
+    phi_s in one pass over arrays.  Working in (V, D) space keeps the test
+    meaningful at the estimator boundaries (V = 1 or D = 1), where the
+    entropy closed forms have divergent slope and first-order entropy sigmas
+    collapse.  Ideal mode allows no statistical slack.  Failures come in plan
+    order, the eur bound before the wpdr bound at each phi_s.
     """
-    bad = []
     n_sigma = 3.0 if mode == MONTECARLO_MODE else 0.0
-    for r in reports:
-        v = max(min(r.visibility.value, 1.0) - n_sigma * r.visibility.sigma, 0.0)
-        d = max(min(r.distinguishability.value, 1.0) - n_sigma * r.distinguishability.sigma, 0.0)
-        relaxed = duality_from_v_d(v, d)
-        if not relaxed.eur_satisfied:
-            bad.append({"phi_s": r.phi_s, "bound": "eur", "relaxed_value": relaxed.eur_sum,
-                        "observed": r.formula.quantities.eur_sum})
-        if not relaxed.wpdr_satisfied:
-            bad.append({"phi_s": r.phi_s, "bound": "wpdr", "relaxed_value": relaxed.wpdr_value,
-                        "observed": r.formula.quantities.wpdr_value})
+    v, v_sigma, d, d_sigma = np.array([
+        (r.visibility.value, r.visibility.sigma, r.distinguishability.value, r.distinguishability.sigma) for r in reports
+    ]).reshape(-1, 4).T
+    relaxed = duality_columns(*(np.maximum(np.minimum(x, 1.0) - n_sigma * sigma, 0.0)
+                                for x, sigma in ((v, v_sigma), (d, d_sigma))))
+    bad = []
+    for i, r in enumerate(reports):
+        for bound, satisfied, value in (("eur", "eur_satisfied", "eur_sum"), ("wpdr", "wpdr_satisfied", "wpdr_value")):
+            if not relaxed[satisfied][i]:
+                bad.append({"phi_s": r.phi_s, "bound": bound, "relaxed_value": float(relaxed[value][i]),
+                            "observed": getattr(r.formula.quantities, value)})
     return bad
 
 
@@ -346,10 +344,7 @@ def run(cfg: ExperimentConfig) -> int:
 
         scans = run_sweep(cfg.plan, cfg.source, cfg.detector, mode=cfg.mode)
         by_key = {(s.phi_s, s.block): s for s in scans}
-        reports = [
-            duality_report(by_key[(phi_s, "none")], by_key[(phi_s, "path0")], by_key[(phi_s, "path1")])
-            for phi_s in cfg.plan.phi_s_values
-        ]
+        reports = duality_report(*([by_key[(phi_s, block)] for phi_s in cfg.plan.phi_s_values] for block in BLOCKS))
         violations = _violations(reports, cfg.mode)
         _write_csv(out / "fringes.csv", "phi_s,phi_x,block,n1,n2,pulses", _fringe_blocks(scans))
         _write_csv(out / "duality.csv", DUALITY_HEADER, [_duality_columns(reports)])
@@ -385,6 +380,7 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigError(message)
 
 
+@functools.lru_cache(maxsize=1)  # parse_args leaves the parser unchanged
 def _build_parser() -> _Parser:
     parser = _Parser(prog="dualitysim", description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="scenario", required=True)

@@ -8,7 +8,8 @@ this module is built around (c = |2p - 1| for a normalized pair (p, 1 - p)):
 
 are exact, which is what makes the entropy-definition route and the
 visibility/distinguishability closed-form route interchangeable for binary
-data.  The closed-form helpers accept scalars or numpy arrays.
+data.  The closed-form helpers and the bound predicates accept scalars or
+numpy arrays, and the entropy definitions take rows of distributions.
 """
 from __future__ import annotations
 
@@ -19,21 +20,27 @@ import numpy as np
 
 from .errors import ContractViolation
 from .states import ProbDist
-from .tolerances import ATOL_ALGEBRAIC, INEQ_SLACK
+from .tolerances import ATOL_ALGEBRAIC, ATOL_NORM, INEQ_SLACK
 
 
-def h_min(dist: ProbDist) -> float:
-    """Unconditional min-entropy -log2(max_j p_j) of a normalized distribution."""
-    if not dist.normalized:
-        raise ContractViolation("min-entropy requires a normalized distribution")
-    return float(-np.log2(np.max(dist.probs)) + 0.0)
+def h_min(dist):
+    """Unconditional min-entropy -log2(max_j p_j) of a normalized distribution, or of each row of an array of them."""
+    out = -np.log2(np.max(_normalized(dist, "min-entropy"), axis=-1)) + 0.0
+    return float(out) if out.ndim == 0 else out
 
 
-def h_max(dist: ProbDist) -> float:
-    """Unconditional max-entropy 2 log2(sum_j sqrt(p_j)); zero outcomes contribute 0."""
-    if not dist.normalized:
-        raise ContractViolation("max-entropy requires a normalized distribution")
-    return float(2.0 * np.log2(np.sum(np.sqrt(dist.probs))))
+def h_max(dist):
+    """Unconditional max-entropy 2 log2(sum_j sqrt(p_j)), per row as :func:`h_min`; zero outcomes contribute 0."""
+    out = 2.0 * np.log2(np.sum(np.sqrt(_normalized(dist, "max-entropy")), axis=-1))
+    return float(out) if out.ndim == 0 else out
+
+
+def _normalized(dist, entropy: str) -> np.ndarray:
+    """The probabilities of a ProbDist, or of every row of an array, which must be nonnegative and normalized."""
+    p = dist.probs if isinstance(dist, ProbDist) else np.asarray(dist, dtype=np.float64)
+    if not np.all((p >= 0) & (np.abs(p.sum(axis=-1, keepdims=True) - 1.0) <= ATOL_NORM)):
+        raise ContractViolation(f"{entropy} requires a normalized distribution")
+    return p
 
 
 def h_min_binary(p):
@@ -72,8 +79,8 @@ def h_max_from_visibility(v):
     return float(out) if out.ndim == 0 else out
 
 
-def eur_check(h_min_z: float, h_max_w: float, n: int = 2):
-    """Entropic uncertainty bound: returns (sum, sum >= log2(n) - INEQ_SLACK).
+def eur_check(h_min_z, h_max_w, n: int = 2):
+    """Entropic uncertainty bound: returns (sum, sum >= log2(n) - INEQ_SLACK); vectorized.
 
     The sum of ignorance about the path variable and the optimal fringe
     variable is at least log2(n) bits for any physical n-path input; a False
@@ -81,18 +88,22 @@ def eur_check(h_min_z: float, h_max_w: float, n: int = 2):
     """
     bound = math.log2(n)
     for name, h in (("h_min_z", h_min_z), ("h_max_w", h_max_w)):
-        if not (-ATOL_ALGEBRAIC <= h <= bound + INEQ_SLACK):
-            raise ContractViolation(f"{name} = {h} outside [0, log2 n]")
+        h = np.asarray(h, dtype=np.float64)
+        inside = (h >= -ATOL_ALGEBRAIC) & (h <= bound + INEQ_SLACK)
+        if not np.all(inside):
+            raise ContractViolation(f"{name} = {h[~inside].flat[0]} outside [0, log2 n]")
     total = h_min_z + h_max_w
-    return total, bool(total >= bound - INEQ_SLACK)
+    ok = total >= bound - INEQ_SLACK
+    return total, ok if np.ndim(ok) else bool(ok)
 
 
-def wpdr_check(d: float, v: float):
-    """Duality trade-off: returns (D^2 + V^2, value <= 1 + INEQ_SLACK)."""
+def wpdr_check(d, v):
+    """Duality trade-off: returns (D^2 + V^2, value <= 1 + INEQ_SLACK); vectorized."""
     _check_unit_range("distinguishability", np.asarray(d, dtype=np.float64))
     _check_unit_range("visibility", np.asarray(v, dtype=np.float64))
     value = d * d + v * v
-    return value, bool(value <= 1.0 + INEQ_SLACK)
+    ok = value <= 1.0 + INEQ_SLACK
+    return value, ok if np.ndim(ok) else bool(ok)
 
 
 @dataclass(frozen=True)
@@ -166,17 +177,22 @@ class DualityQuantities:
             raise ContractViolation("eur_sum must equal h_min_z + h_max_w")
 
 
+def duality_columns(v, d) -> dict:
+    """Both binary closed forms and both bound predicates for arrays of measured (V, D).
+
+    Returns the fields of :class:`DualityQuantities` by name, each an array
+    with one entry per (V, D) pair.
+    """
+    v, d = np.asarray(v, dtype=np.float64), np.asarray(d, dtype=np.float64)
+    hz, hw = h_min_from_distinguishability(d), h_max_from_visibility(v)
+    (eur_sum, eur_ok), (wpdr_value, wpdr_ok) = eur_check(hz, hw), wpdr_check(d, v)
+    return dict(v=v, d=d, h_min_z=hz, h_max_w=hw, eur_sum=eur_sum, wpdr_value=wpdr_value,
+                eur_satisfied=eur_ok, wpdr_satisfied=wpdr_ok)
+
+
 def duality_from_v_d(v: float, d: float) -> DualityQuantities:
-    """Evaluate both binary closed forms and both bound predicates for measured (V, D)."""
-    hz = h_min_from_distinguishability(d)
-    hw = h_max_from_visibility(v)
-    eur_sum, eur_ok = eur_check(hz, hw)
-    wpdr_value, wpdr_ok = wpdr_check(d, v)
-    return DualityQuantities(
-        v=float(v), d=float(d), h_min_z=hz, h_max_w=hw,
-        eur_sum=eur_sum, wpdr_value=wpdr_value,
-        eur_satisfied=eur_ok, wpdr_satisfied=wpdr_ok,
-    )
+    """Evaluate both binary closed forms and both bound predicates for one measured (V, D)."""
+    return DualityQuantities(**{name: np.asarray(x).item() for name, x in duality_columns(v, d).items()})
 
 
 def _check_unit_range(name: str, x: np.ndarray) -> None:

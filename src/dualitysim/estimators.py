@@ -21,18 +21,26 @@ sigmas into both routes' entropy and bound sigmas.  Fringe extrema are taken
 directly from the measured grid (argmax/argmin, ties broken toward the lowest
 phi_x): the optional sinusoid fit below is presentation-only and never feeds
 entropies.
+
+The scorecard is one array pass.  :func:`duality_report` stacks the scans of
+every phi_s into rows and computes the grid extrema, V, D, both routes, their
+sigmas and the route equivalence for all rows at once; the per-setting
+functions (:func:`estimate_visibility`, :func:`estimate_distinguishability`,
+:func:`eur_formula_route`, :func:`eur_definition_route`,
+:func:`equivalence_report`) are one-row calls of the same stages.  Each stage
+reports its failed checks per row instead of raising, so a batch raises the
+error of its first failing setting, as a loop over the settings would.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .entropy import DualityQuantities, duality_from_v_d, eur_check, h_max, h_min
+from .entropy import DualityQuantities, duality_columns, eur_check, h_max, h_min
 from .errors import ContractViolation, EstimationError
 from .optics import BLOCK_NONE, BLOCK_PATH0, BLOCK_PATH1, BLOCKS
-from .states import ProbDist
 from .tolerances import ATOL_ALGEBRAIC
 
 LN2 = math.log(2.0)
@@ -77,11 +85,6 @@ class FringeScan:
     @property
     def totals(self) -> np.ndarray:
         return self.n1 + self.n2
-
-    @property
-    def empty_points(self) -> int:
-        """Points with zero total counts; these are dropped by the estimators."""
-        return int(np.count_nonzero(self.totals == 0))
 
 
 @dataclass(frozen=True)
@@ -143,17 +146,192 @@ def _kept(scan: FringeScan):
     return keep
 
 
-def _extremal_indices(scan: FringeScan):
-    """Grid indices of the per-point-probability extrema (ties: lowest phi_x)."""
-    keep = _kept(scan)
-    idx = np.flatnonzero(keep)
-    phat = scan.n1[idx] / scan.totals[idx]
-    return idx[int(np.argmax(phat))], idx[int(np.argmin(phat))]
+class _Rows:
+    """Scans of one length stacked into rows, with each row's kept points and p_hat = n1/(n1+n2) extrema.
+
+    The extrema are grid indices over the kept (nonzero-total) points, ties
+    broken toward the lowest phi_x.
+    """
+
+    def __init__(self, scans):
+        if len({s.phi_x.size for s in scans}) > 1:
+            raise ContractViolation("scans evaluated together must have the same number of phi_x points")
+        self.phi_s = np.array([s.phi_s for s in scans], dtype=np.float64)
+        self.block = np.array([s.block for s in scans])
+        self.phi_x, self.n1, self.n2 = (np.array([getattr(s, name) for s in scans]) for name in ("phi_x", "n1", "n2"))
+        self.totals = self.n1 + self.n2
+        self.keep = self.totals > 0
+        with np.errstate(invalid="ignore"):
+            phat = self.n1 / self.totals
+        self.i_max = np.where(self.keep, phat, -np.inf).argmax(axis=-1)
+        self.i_min = np.where(self.keep, phat, np.inf).argmin(axis=-1)
 
 
-def _ratio_variance(a: float, b: float, s: float, var_a: float, var_b: float) -> float:
-    """Delta-method variance of the contrast (a - b)/s, s = a + b, for independent a and b."""
-    return (2.0 * b / s**2) ** 2 * var_a + (2.0 * a / s**2) ** 2 * var_b
+def _at(a: np.ndarray, index: np.ndarray) -> np.ndarray:
+    return a[np.arange(len(a)), index]
+
+
+def _raise_first(checks) -> None:
+    """Raise the error of the first failing row, and within it of its first failing check.
+
+    ``checks`` lists (failing rows, exception type, message or row ->
+    message) in the order one setting's estimate meets them, so a batch
+    raises what a loop over its settings would raise first.
+    """
+    failing = [(int(np.argmax(mask)), order) for order, (mask, _, _) in enumerate(checks) if np.any(mask)]
+    if failing:
+        row, order = min(failing)
+        _, error, message = checks[order]
+        raise error(message if isinstance(message, str) else message(row))
+
+
+# Squares are Python's ** (libm pow) and hypotenuses math.hypot, one element
+# at a time: numpy's a**2 multiplies and np.hypot rounds differently, each
+# moving some reported sigmas in the last bit.
+def _squares(x: np.ndarray) -> np.ndarray:
+    return np.array([e ** 2 for e in x.tolist()])
+
+
+def _hypot(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    return np.array(list(map(math.hypot, x.tolist(), y.tolist())))
+
+
+def _ratio_variance(a, b, s, var_a, var_b):
+    """Delta-method variance of the contrast (a - b)/s, s = a + b, for independent a and b, per row."""
+    s2 = _squares(s)
+    return _squares(2.0 * b / s2) * var_a + _squares(2.0 * a / s2) * var_b
+
+
+def _grid_checks(span, size, error) -> list:
+    """Checks that phi_x grids of ``size`` points over ``span`` cover one fringe period."""
+    short = span + span / (size - 1) < 2.0 * math.pi - 1e-9
+    return [
+        (size < MIN_FRINGE_POINTS, error, lambda i: f"need at least {MIN_FRINGE_POINTS} usable points, got {size[i]}"),
+        (short, error, lambda i: f"phi_x span {span[i]:.3f} rad covers less than one fringe period"),
+    ]
+
+
+@np.errstate(divide="ignore", invalid="ignore")
+def _visibility(rows: _Rows):
+    """V and its sigma per open row from the detector-1 counts at the grid extrema, with the estimate's checks."""
+    n_max, n_min = _at(rows.n1, rows.i_max), _at(rows.n1, rows.i_min)
+    s = n_max + n_min
+    # a zero-count extremum still carries one count's worth of Poisson
+    # uncertainty; without the floor the boundary estimate V=1 would report
+    # sigma 0 and defeat every downstream consistency check
+    m_max, m_min = np.maximum(n_max, 1.0), np.maximum(n_min, 1.0)
+    x, kept = rows.phi_x, rows.keep.sum(axis=-1)
+    first, last = rows.keep.argmax(axis=-1), x.shape[-1] - 1 - rows.keep[:, ::-1].argmax(axis=-1)
+    # A grid too short or too narrow is a caller error; a grid that becomes
+    # so only once its zero-count points are dropped is degenerate data.
+    return (n_max - n_min) / s, np.sqrt(_ratio_variance(m_max, m_min, s, m_max, m_min)), [
+        (rows.block != BLOCK_NONE, ContractViolation, "visibility requires an open scan (block = none)"),
+        (kept == 0, EstimationError, "all points in scan have zero counts"),
+        *_grid_checks(x[:, -1] - x[:, 0], np.full(kept.shape, x.shape[-1]), ContractViolation),
+        *_grid_checks(_at(x, last) - _at(x, first), kept, EstimationError),
+        (s <= 0, EstimationError, "zero detector-1 counts at both fringe extrema"),
+    ]
+
+
+@np.errstate(divide="ignore", invalid="ignore")
+def _pooled_bias(rows: _Rows):
+    """Per blocked row: |N1 - N2|/S from the phi_x-pooled counts, its variance, and whether S is zero."""
+    a, b = rows.n1.sum(axis=-1), rows.n2.sum(axis=-1)
+    s = a + b
+    # same one-count floor as the visibility sigma: a dark detector is a
+    # boundary estimate, not a zero-uncertainty one
+    fa, fb = np.maximum(a, 1.0), np.maximum(b, 1.0)
+    return np.abs(a - b) / s, _ratio_variance(fa, fb, s, fa, fb), s <= 0
+
+
+def _distinguishability(b0: _Rows, b1: _Rows):
+    """D = (D_1 + D_2)/2 and its sigma per pair of blocked rows, with the estimate's checks."""
+    (d0, var0, empty0), (d1, var1, empty1) = _pooled_bias(b0), _pooled_bias(b1)
+    return 0.5 * (d0 + d1), 0.5 * np.sqrt(var0 + var1), [
+        ((b0.block != BLOCK_PATH0) | (b1.block != BLOCK_PATH1), ContractViolation,
+         "expected scans with block = path0 and path1, in that order"),
+        (np.abs(b0.phi_s - b1.phi_s) > ATOL_ALGEBRAIC, ContractViolation, "blocked scans must share the same phi_s"),
+        (empty0, EstimationError, f"zero total counts in blocked scan ({BLOCK_PATH0})"),
+        (empty1, EstimationError, f"zero total counts in blocked scan ({BLOCK_PATH1})"),
+    ]
+
+
+@np.errstate(divide="ignore", invalid="ignore")
+def _fringe_pair(rows: _Rows):
+    """Per open row, the detector-1 probabilities and totals at both fringe extrema, with the pair's checks."""
+    t_max, t_min = _at(rows.totals, rows.i_max), _at(rows.totals, rows.i_min)
+    p_max, p_min = _at(rows.n1, rows.i_max) / t_max, _at(rows.n1, rows.i_min) / t_min
+    return (p_max, p_min, t_max, t_min), [
+        (~rows.keep.any(axis=-1), EstimationError, "all points in scan have zero counts"),
+        (p_max + p_min <= 0, EstimationError, "zero detector-1 probability at both fringe extrema"),
+    ]
+
+
+@np.errstate(divide="ignore", invalid="ignore")
+def _route(quantities: dict, v, sigma_v, d, sigma_d) -> dict:
+    """A route's columns: its DualityQuantities columns, and the V and D sigmas propagated through both closed forms."""
+    s_hmin = 1.0 / ((1.0 + d) * LN2) * sigma_d
+    # d/dV log2(1 + sqrt(1-V^2)) diverges one-sidedly at V=1, where the
+    # first-order sigma is meaningless; report 0 there and leave
+    # boundary-aware tolerance to consumers working in (V, D) space.
+    root = np.sqrt(np.maximum((1.0 - v) * (1.0 + v), 0.0))
+    s_hmax = np.where(root == 0.0, 0.0, v / (root * (1.0 + root) * LN2)) * sigma_v
+    return dict(quantities, h_min_sigma=s_hmin, h_max_sigma=s_hmax, eur_sigma=_hypot(s_hmin, s_hmax),
+                wpdr_sigma=_hypot(2.0 * d * sigma_d, 2.0 * v * sigma_v))
+
+
+def _formula_route(v, sigma_v, d, sigma_d) -> dict:
+    """Formula-route columns: the closed forms at V and D, each clamped into [0, 1] and flagged where it was."""
+    clamped_v, clamped_d = ((x < 0.0) | (x > 1.0) for x in (v, d))
+    v, d = np.where(clamped_v, np.clip(v, 0.0, 1.0), v), np.where(clamped_d, np.clip(d, 0.0, 1.0), d)
+    return dict(_route(duality_columns(v, d), v, sigma_v, d, sigma_d), clamped_v=clamped_v, clamped_d=clamped_d)
+
+
+def _definition_route(p_max, p_min, t_max, t_min, d, sigma_d) -> dict:
+    """Definition-route columns from the fringe-extremal detector-1 probabilities and the D estimate."""
+    hz = h_min(np.stack([(1.0 + d) / 2.0, (1.0 - d) / 2.0], axis=-1))  # the bias distribution of D
+    s = p_max + p_min
+    hw = h_max(np.stack([p_max, p_min], axis=-1) / s[:, None])
+    contrast = (p_max - p_min) / s
+    var_c = _ratio_variance(p_max, p_min, s, p_max * (1.0 - p_max) / t_max, p_min * (1.0 - p_min) / t_min)
+    # definition-route entropies replace the closed-form ones in the scorecard
+    eur_sum, eur_ok = eur_check(hz, hw)
+    quantities = dict(duality_columns(contrast, d), h_min_z=hz, h_max_w=hw, eur_sum=eur_sum, eur_satisfied=eur_ok)
+    return _route(quantities, contrast, np.sqrt(var_c), d, sigma_d)
+
+
+def _equivalence(a, b, k) -> dict:
+    """Per-quantity absolute differences between two routes' columns, flagged against k * (sigma_a + sigma_b)."""
+    out = {}
+    for name, value, sigma in (("h_min", "h_min_z", "h_min_sigma"), ("h_max", "h_max_w", "h_max_sigma"),
+                               ("eur", "eur_sum", "eur_sigma")):
+        out[f"d_{name}"] = np.abs(a[value] - b[value])
+        out[f"within_{name}"] = out[f"d_{name}"] <= k * (a[sigma] + b[sigma])
+    return out
+
+
+def _objects(cls, columns: dict, **shared) -> list:
+    """One ``cls`` per row of ``columns`` (arrays or lists), each also given the ``shared`` fields."""
+    rows = zip(*(c.tolist() if isinstance(c, np.ndarray) else c for c in columns.values()))
+    return [cls(**dict(zip(columns, row)), **shared) for row in rows]
+
+
+def _route_reports(route: str, columns: dict, **shared) -> list:
+    names = {f.name for f in fields(DualityQuantities)}
+    quantities = _objects(DualityQuantities, {name: c for name, c in columns.items() if name in names})
+    rest = {name: c for name, c in columns.items() if name not in names}
+    return _objects(RouteReport, dict(rest, quantities=quantities), route=route, **shared)
+
+
+def _estimates(value, sigma) -> list:
+    return _objects(EstimateWithError, {"value": value, "sigma": sigma})
+
+
+def _one_row(stage, *scans) -> list:
+    """The values of an array stage run on one row per scan argument, after raising its first failed check."""
+    *values, checks = stage(*(_Rows([scan]) for scan in scans))
+    _raise_first(checks)
+    return values
 
 
 def estimate_visibility(scan: FringeScan) -> EstimateWithError:
@@ -163,38 +341,7 @@ def estimate_visibility(scan: FringeScan) -> EstimateWithError:
     estimate uses the detector-1 counts at those two points.  The error bar
     propagates their Poisson variances (var N = N) through the ratio.
     """
-    if scan.block != BLOCK_NONE:
-        raise ContractViolation("visibility requires an open scan (block = none)")
-    # A grid too short or too narrow is a caller error; a grid that becomes
-    # so only once its zero-count points are dropped is degenerate data.
-    for x, error in ((scan.phi_x, ContractViolation), (scan.phi_x[_kept(scan)], EstimationError)):
-        if x.size < MIN_FRINGE_POINTS:
-            raise error(f"need at least {MIN_FRINGE_POINTS} usable points, got {x.size}")
-        span = float(x[-1] - x[0])
-        if span + span / (x.size - 1) < 2.0 * math.pi - 1e-9:
-            raise error(f"phi_x span {span:.3f} rad covers less than one fringe period")
-    i_max, i_min = _extremal_indices(scan)
-    n_max, n_min = float(scan.n1[i_max]), float(scan.n1[i_min])
-    s = n_max + n_min
-    if s <= 0:
-        raise EstimationError("zero detector-1 counts at both fringe extrema")
-    # a zero-count extremum still carries one count's worth of Poisson
-    # uncertainty; without the floor the boundary estimate V=1 would report
-    # sigma 0 and defeat every downstream consistency check
-    m_max, m_min = max(n_max, 1.0), max(n_min, 1.0)
-    return EstimateWithError((n_max - n_min) / s, math.sqrt(_ratio_variance(m_max, m_min, s, m_max, m_min)))
-
-
-def _pooled_bias(scan: FringeScan):
-    """(|N1 - N2|/S, variance) from phi_x-pooled counts of one blocked scan."""
-    a, b = float(scan.n1.sum()), float(scan.n2.sum())
-    s = a + b
-    if s <= 0:
-        raise EstimationError(f"zero total counts in blocked scan ({scan.block})")
-    # same one-count floor as the visibility sigma: a dark detector is a
-    # boundary estimate, not a zero-uncertainty one
-    fa, fb = max(a, 1.0), max(b, 1.0)
-    return abs(a - b) / s, _ratio_variance(fa, fb, s, fa, fb)
+    return _estimates(*_one_row(_visibility, scan))[0]
 
 
 def estimate_distinguishability(scan_blocked_0: FringeScan, scan_blocked_1: FringeScan) -> EstimateWithError:
@@ -205,47 +352,7 @@ def estimate_distinguishability(scan_blocked_0: FringeScan, scan_blocked_1: Frin
     makes the estimate insensitive to whether raw or conditioned counts came
     in.
     """
-    if scan_blocked_0.block != BLOCK_PATH0 or scan_blocked_1.block != BLOCK_PATH1:
-        raise ContractViolation("expected scans with block = path0 and path1, in that order")
-    if abs(scan_blocked_0.phi_s - scan_blocked_1.phi_s) > ATOL_ALGEBRAIC:
-        raise ContractViolation("blocked scans must share the same phi_s")
-    d0, var0 = _pooled_bias(scan_blocked_0)
-    d1, var1 = _pooled_bias(scan_blocked_1)
-    return EstimateWithError(0.5 * (d0 + d1), 0.5 * math.sqrt(var0 + var1))
-
-
-def _clamp_unit(x: float):
-    if x < 0.0:
-        return 0.0, True
-    if x > 1.0:
-        return 1.0, True
-    return x, False
-
-
-def _h_min_slope(d: float) -> float:
-    return 1.0 / ((1.0 + d) * LN2)
-
-
-def _h_max_slope(v: float) -> float:
-    # d/dV log2(1 + sqrt(1-V^2)) diverges one-sidedly at V=1, where the
-    # first-order sigma is meaningless; report 0 there and leave
-    # boundary-aware tolerance to consumers working in (V, D) space.
-    root = math.sqrt(max((1.0 - v) * (1.0 + v), 0.0))
-    if root == 0.0:
-        return 0.0
-    return v / (root * (1.0 + root) * LN2)
-
-
-def _route_report(route: str, q: DualityQuantities, v, sigma_v, d, sigma_d, **flags) -> RouteReport:
-    """A route's scorecard with the V and D sigmas propagated through both closed forms."""
-    s_hmin = _h_min_slope(d) * sigma_d
-    s_hmax = _h_max_slope(v) * sigma_v
-    return RouteReport(
-        route=route, quantities=q, h_min_sigma=s_hmin, h_max_sigma=s_hmax,
-        eur_sigma=math.hypot(s_hmin, s_hmax),
-        wpdr_sigma=math.hypot(2.0 * d * sigma_d, 2.0 * v * sigma_v),
-        **flags,
-    )
+    return _estimates(*_one_row(_distinguishability, scan_blocked_0, scan_blocked_1))[0]
 
 
 def eur_formula_route(
@@ -259,12 +366,9 @@ def eur_formula_route(
     flagged in the report; sigmas are first-order propagations through the
     two closed forms.
     """
-    v, clamped_v = _clamp_unit(visibility.value)
-    d, clamped_d = _clamp_unit(distinguishability.value)
-    return _route_report(
-        FORMULA_ROUTE, duality_from_v_d(v, d), v, visibility.sigma, d, distinguishability.sigma,
-        clamped_v=clamped_v, clamped_d=clamped_d, dropped_points=dropped_points,
-    )
+    estimates = (visibility.value, visibility.sigma, distinguishability.value, distinguishability.sigma)
+    columns = _formula_route(*(np.array([x], dtype=np.float64) for x in estimates))
+    return _route_reports(FORMULA_ROUTE, columns, dropped_points=dropped_points)[0]
 
 
 def eur_definition_route(
@@ -285,70 +389,47 @@ def eur_definition_route(
     """
     if scan_open.block != BLOCK_NONE:
         raise ContractViolation("definition route needs an open scan first")
-    d = distinguishability.value
-    hz = h_min(_bias_distribution(d))
-
-    i_max, i_min = _extremal_indices(scan_open)
-    t_max, t_min = float(scan_open.totals[i_max]), float(scan_open.totals[i_min])
-    p_max = float(scan_open.n1[i_max]) / t_max
-    p_min = float(scan_open.n1[i_min]) / t_min
-    s = p_max + p_min
-    if s <= 0:
-        raise EstimationError("zero detector-1 probability at both fringe extrema")
-    hw = h_max(ProbDist(np.array([p_max, p_min]) / s, ("fringe_max", "fringe_min")))
-    contrast = (p_max - p_min) / s
-    var_p = (p_max * (1.0 - p_max) / t_max, p_min * (1.0 - p_min) / t_min)
-    var_c = _ratio_variance(p_max, p_min, s, *var_p)
-
-    # definition-route entropies replace the closed-form ones in the scorecard
-    eur_sum, eur_ok = eur_check(hz, hw)
-    q = replace(duality_from_v_d(contrast, d), h_min_z=hz, h_max_w=hw, eur_sum=eur_sum, eur_satisfied=eur_ok)
-    return _route_report(
-        DEFINITION_ROUTE, q, contrast, math.sqrt(var_c), d, distinguishability.sigma, dropped_points=dropped_points,
-    )
-
-
-def _bias_distribution(d: float) -> ProbDist:
-    return ProbDist(np.array([(1.0 + d) / 2.0, (1.0 - d) / 2.0]), ("guess_hit", "guess_miss"))
+    [pair] = _one_row(_fringe_pair, scan_open)
+    d = (np.array([x], dtype=np.float64) for x in (distinguishability.value, distinguishability.sigma))
+    return _route_reports(DEFINITION_ROUTE, _definition_route(*pair, *d), dropped_points=dropped_points)[0]
 
 
 def equivalence_report(route_a: RouteReport, route_b: RouteReport, k: float = 1.0) -> EquivalenceReport:
     """Absolute per-quantity differences, flagged against k * (sigma_a + sigma_b)."""
-    qa, qb = route_a.quantities, route_b.quantities
-    d_h_min = abs(qa.h_min_z - qb.h_min_z)
-    d_h_max = abs(qa.h_max_w - qb.h_max_w)
-    d_eur = abs(qa.eur_sum - qb.eur_sum)
-    return EquivalenceReport(
-        d_h_min=d_h_min, d_h_max=d_h_max, d_eur=d_eur,
-        within_h_min=bool(d_h_min <= k * (route_a.h_min_sigma + route_b.h_min_sigma)),
-        within_h_max=bool(d_h_max <= k * (route_a.h_max_sigma + route_b.h_max_sigma)),
-        within_eur=bool(d_eur <= k * (route_a.eur_sigma + route_b.eur_sigma)),
-        k=k,
-    )
+    columns = _equivalence(*({**vars(r.quantities), **vars(r)} for r in (route_a, route_b)), k)
+    return EquivalenceReport(**{name: x.item() for name, x in columns.items()}, k=k)
 
 
-def duality_report(
-    scan_open: FringeScan,
-    scan_blocked_0: FringeScan,
-    scan_blocked_1: FringeScan,
-    k: float = 1.0,
-) -> DualityReport:
-    """Full dual-route scorecard for one phi_s setting."""
-    visibility = estimate_visibility(scan_open)
-    distinguishability = estimate_distinguishability(scan_blocked_0, scan_blocked_1)
-    if abs(scan_open.phi_s - scan_blocked_0.phi_s) > ATOL_ALGEBRAIC:
-        raise ContractViolation("open and blocked scans must share the same phi_s")
-    dropped = scan_open.empty_points + scan_blocked_0.empty_points + scan_blocked_1.empty_points
-    formula = eur_formula_route(visibility, distinguishability, dropped_points=dropped)
-    definition = eur_definition_route(scan_open, distinguishability, dropped_points=dropped)
-    return DualityReport(
-        phi_s=scan_open.phi_s,
-        visibility=visibility,
-        distinguishability=distinguishability,
-        formula=formula,
-        definition=definition,
-        equivalence=equivalence_report(formula, definition, k=k),
-    )
+def duality_report(scans_open, scans_blocked_0, scans_blocked_1, k: float = 1.0) -> list:
+    """Full dual-route scorecards for many phi_s settings at once, one DualityReport per position.
+
+    Position i of the three sequences holds the open, path0-blocked and
+    path1-blocked scans of one phi_s; the scans of one sequence share one
+    phi_x length.  Where a setting cannot be estimated, the error raised is
+    the one the per-setting estimators raise for the first such position.
+    """
+    if not len(scans_open) == len(scans_blocked_0) == len(scans_blocked_1):
+        raise ContractViolation("need one open, one path0 and one path1 scan per phi_s")
+    if not len(scans_open):
+        return []
+    op, b0, b1 = _Rows(scans_open), _Rows(scans_blocked_0), _Rows(scans_blocked_1)
+    v, sigma_v, v_checks = _visibility(op)
+    d, sigma_d, d_checks = _distinguishability(b0, b1)
+    pair, pair_checks = _fringe_pair(op)
+    mismatch = np.abs(op.phi_s - b0.phi_s) > ATOL_ALGEBRAIC
+    _raise_first([*v_checks, *d_checks, (mismatch, ContractViolation, "open and blocked scans must share the same phi_s"),
+                  *pair_checks])
+    dropped = sum((~rows.keep).sum(axis=-1) for rows in (op, b0, b1))
+    formula = dict(_formula_route(v, sigma_v, d, sigma_d), dropped_points=dropped)
+    definition = dict(_definition_route(*pair, d, sigma_d), dropped_points=dropped)
+    return _objects(DualityReport, {
+        "phi_s": [s.phi_s for s in scans_open],
+        "visibility": _estimates(v, sigma_v),
+        "distinguishability": _estimates(d, sigma_d),
+        "formula": _route_reports(FORMULA_ROUTE, formula),
+        "definition": _route_reports(DEFINITION_ROUTE, definition),
+        "equivalence": _objects(EquivalenceReport, _equivalence(formula, definition, k), k=k),
+    })
 
 
 @dataclass(frozen=True)

@@ -165,6 +165,11 @@ class RunPlan:
         return DEFAULT_COHERENCE_IDEAL if mode == IDEAL_MODE else DEFAULT_COHERENCE_MC
 
 
+def is_whole(x: float) -> bool:
+    """Whether x is a whole number of at least 1, to a relative tolerance of 1e-9."""
+    return math.isfinite(x) and round(x) >= 1 and abs(x - round(x)) <= 1e-9 * x
+
+
 def effective_mean_photons(source: SourceConfig, detector: DetectorConfig) -> float:
     """Detected mean photons per pulse after efficiency and system loss."""
     return source.mu * detector.efficiency * 10.0 ** (-detector.system_loss_db / 10.0)
@@ -370,7 +375,8 @@ def run_dynamic_switch(
     Each chunk of SWITCH_CHUNK_PULSES pulses draws one uniform per pulse for
     D1, then one per pulse for D2; a pulse clicks at a detector when its
     uniform lies below that detector's click probability, and clicks are
-    binned into windows of ``bin_seconds``.
+    binned into windows of ``bin_seconds``.  The run is duration_s /
+    bin_seconds bins of bin_seconds * rep_rate pulses, both whole numbers.
 
     No click probability exceeds the saturating port's, c(p = 1), so a
     uniform at or above it cannot click.  The phase and click model is
@@ -380,10 +386,13 @@ def run_dynamic_switch(
     """
     if min(duration_s, toggle_period_s, triangle_period_s, bin_seconds) <= 0:
         raise ContractViolation("durations and periods must be positive")
+    bins, per_bin = duration_s / bin_seconds, bin_seconds * source.rep_rate
+    if not (is_whole(bins) and is_whole(per_bin)):
+        raise ContractViolation(f"need whole numbers of bins and of pulses per bin, got {bins!r} and {per_bin!r}")
     if isinstance(rng, (int, np.integer)):
         rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(int(rng))))
-    n_pulses = int(duration_s * source.rep_rate)
-    n_bins = int(math.ceil(duration_s / bin_seconds))
+    n_bins, pulses_per_bin = round(bins), round(per_bin)
+    n_pulses = n_bins * pulses_per_bin
     counts = np.zeros(2 * n_bins, dtype=np.int64)
     # The relative margin keeps the bound above every c even if a vectorised
     # expm1 is not monotone to the last bit; it admits no measurable extra work.
@@ -401,8 +410,7 @@ def run_dynamic_switch(
         sin_s = np.where(wave_segment, 1.0, 0.0)  # sin(phi_s) for phi_s in {0, pi/2}
         p1 = open_p1(np.sin(phi_x), sin_s, coherence)
         hit = u[cand] < click_probs(np.where(det == 0, p1, 1.0 - p1), source, detector)
-        bins = np.minimum((t[hit] / bin_seconds).astype(np.int64), n_bins - 1)
-        counts += np.bincount(det[hit] * n_bins + bins, minlength=2 * n_bins)
+        counts += np.bincount(det[hit] * n_bins + (idx[hit] + start) // pulses_per_bin, minlength=2 * n_bins)
 
     t_bin = (np.arange(n_bins) + 0.5) * bin_seconds
     phi_s_bin = np.where((np.floor(t_bin / toggle_period_s).astype(np.int64) % 2) == 1, math.pi / 2.0, 0.0)
@@ -412,5 +420,5 @@ def run_dynamic_switch(
         phi_x=triangle_wave(t_bin, triangle_period_s),
         n1=counts[:n_bins].astype(np.float64),
         n2=counts[n_bins:].astype(np.float64),
-        pulses_per_bin=int(round(bin_seconds * source.rep_rate)),
+        pulses_per_bin=pulses_per_bin,
     )

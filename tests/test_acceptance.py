@@ -12,6 +12,7 @@ from pathlib import Path
 import numpy as np
 
 from dualitysim import (
+    BLOCKS,
     CircuitConfig,
     RunPlan,
     circuit_output_state,
@@ -189,10 +190,8 @@ def test_criterion_6_eur_statistics_over_seeds():
         )
         scans = sweep_by_setting(plan)
         agree = 0
-        for phi_s in NINE_PHI_S:
-            rep = duality_report(
-                scans[(phi_s, "none")], scans[(phi_s, "path0")], scans[(phi_s, "path1")]
-            )
+        reports = duality_report(*([scans[(phi_s, block)] for phi_s in NINE_PHI_S] for block in BLOCKS))
+        for rep in reports:
             f = rep.formula
             if f.quantities.eur_sum < 1.0 - 3.0 * f.eur_sigma:
                 eur_failures += 1

@@ -199,23 +199,28 @@ class TestRunArtifacts:
         )
         assert run(cfg) == EXIT_IO
 
-    def test_violation_exit_code(self, tmp_path, monkeypatch):
-        import dualitysim.cli as cli_mod
+    @staticmethod
+    def _unphysical(phi_s, v=1.0, d=1.0):
+        """A forced scorecard outside both bounds: V = v and D = d with zero sigma."""
         from dualitysim import EstimateWithError
         from dualitysim.estimators import DualityReport, equivalence_report, eur_formula_route
 
-        # force an unphysical scorecard (V = D = 1) through the pipeline
-        broken = eur_formula_route(EstimateWithError(1.0, 0.0), EstimateWithError(1.0, 0.0))
+        broken = eur_formula_route(EstimateWithError(v, 0.0), EstimateWithError(d, 0.0))
+        return DualityReport(
+            phi_s=phi_s,
+            visibility=EstimateWithError(v, 0.0),
+            distinguishability=EstimateWithError(d, 0.0),
+            formula=broken,
+            definition=broken,
+            equivalence=equivalence_report(broken, broken),
+        )
 
-        def fake_report(scan_open, scan_b0, scan_b1, **kwargs):
-            return DualityReport(
-                phi_s=scan_open.phi_s,
-                visibility=EstimateWithError(1.0, 0.0),
-                distinguishability=EstimateWithError(1.0, 0.0),
-                formula=broken,
-                definition=broken,
-                equivalence=equivalence_report(broken, broken),
-            )
+    def test_violation_exit_code(self, tmp_path, monkeypatch):
+        import dualitysim.cli as cli_mod
+
+        # force an unphysical scorecard (V = D = 1) through the pipeline
+        def fake_report(scans_open, scans_b0, scans_b1, **kwargs):
+            return [self._unphysical(scan.phi_s) for scan in scans_open]
 
         monkeypatch.setattr(cli_mod, "duality_report", fake_report)
         cfg = config_from_dict(
@@ -227,6 +232,32 @@ class TestRunArtifacts:
             }
         )
         assert run(cfg) == EXIT_VIOLATION
+
+    @pytest.mark.parametrize("forced", [{1: (1.0, 1.0)}, {0: (1.0, 0.8), 2: (1.0, 1.0)}])
+    def test_violations_listed_in_plan_order(self, tmp_path, monkeypatch, forced):
+        import dualitysim.cli as cli_mod
+
+        real = cli_mod.duality_report
+
+        # the real scorecard, with the settings in ``forced`` replaced by unphysical ones
+        def fake_report(scans_open, scans_b0, scans_b1, **kwargs):
+            reports = real(scans_open, scans_b0, scans_b1, **kwargs)
+            return [self._unphysical(r.phi_s, *forced[i]) if i in forced else r for i, r in enumerate(reports)]
+
+        monkeypatch.setattr(cli_mod, "duality_report", fake_report)
+        phi_s = [0.0, math.pi / 4, math.pi / 2]
+        cfg = config_from_dict({"scenario": "sweep", "mode": "ideal", "output_dir": str(tmp_path / "out"),
+                                "plan": {"phi_s_values": phi_s}})
+        assert run(cfg) == EXIT_VIOLATION
+        expected = []
+        for i in sorted(forced):
+            q = self._unphysical(phi_s[i], *forced[i]).formula.quantities
+            expected += [
+                {"phi_s": phi_s[i], "bound": "eur", "relaxed_value": q.eur_sum, "observed": q.eur_sum},
+                {"phi_s": phi_s[i], "bound": "wpdr", "relaxed_value": q.wpdr_value, "observed": q.wpdr_value},
+            ]
+        report = json.loads((tmp_path / "out" / "report.json").read_text())
+        assert report["violations"] == expected
 
 
 def _per_value_fmt(x) -> str:

@@ -13,6 +13,10 @@ and clamp flags, the dropped points, the route equivalence and the
 violations), so report.json is pinned too: the digest covers its
 ``REPORT_KEYS``, and leaves out the provenance, whose ``config.output_dir``
 and ``config_sha256`` change with ``--out``.
+
+The low-count sweep (4000 pulses per point, coherence 0) reaches the
+scorecard's edge branches, which the reference runs do not: 14 zero-count
+points dropped, and V = 1 with its slope-0 sigma at phi_s = 0 and pi/2.
 """
 import hashlib
 import json
@@ -43,6 +47,13 @@ GOLDENS = {
             (2**64 - 1, "e1997b32707db55c0d57213c2e0bed35aee679dd0201604c5e36877e682a8040"),
         )
     },
+    "low_count_sweep": (
+        ["sweep", "--config", str(REPO / "configs" / "low_count_sweep.json")],
+        {
+            "fringes.csv": "0591d9972bd1f5e76e6a9789f42c8154ae18ebc10e7a3591ec5694d77816ba73",
+            "duality.csv": "458a5895560287a79e4a3bb86371634dc02d3c60bd137e55d99a21bb8f54d263",
+        },
+    ),
     "reference_switch": (
         ["switch", "--config", str(REPO / "configs" / "reference_switch.json")],
         {
@@ -61,6 +72,7 @@ GOLDENS = {
 REPORT_KEYS = ("points", "violations", "dropped_points")
 
 REPORT_DIGESTS = {
+    "low_count_sweep": "44bb102c94671142e771906e1032a3a95e6d792f67be3823ecae47271c087bbb",
     "reference_sweep": "ffc3b60441b65451d665de2d40fb713197bb1ee4192b11a1e6416960393058f0",
     "verify_ideal": "ff63e2fd27e3a2b24f64b0c705bab9c57b12616a644488b697a0bb025176857d",
 }

@@ -280,8 +280,8 @@ class TestRunSweep:
 def per_pulse_switch(duration_s, toggle_period_s, triangle_period_s, source, detector, seed, coherence, bin_seconds):
     """Switch counts with the phase and click model evaluated on every pulse, the same draws in the same order."""
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
-    n_pulses = int(duration_s * source.rep_rate)
-    n_bins = int(math.ceil(duration_s / bin_seconds))
+    n_bins = round(duration_s / bin_seconds)
+    n_pulses = n_bins * round(bin_seconds * source.rep_rate)
     counts = np.zeros((2, n_bins), dtype=np.int64)
     for start in range(0, n_pulses, montecarlo.SWITCH_CHUNK_PULSES):
         idx = np.arange(start, min(start + montecarlo.SWITCH_CHUNK_PULSES, n_pulses))
@@ -305,8 +305,8 @@ SWITCH_CASES = {
     "reference": (1_000_000, (72.0, 18.0, 6.0, SRC, DET, 2, 1.0, 0.6)),
     "dark_prob_1": (1_000_000, (3.0, 1.0, 0.7, SRC, DetectorConfig(dark_prob=1.0), 5, 0.967, 0.2)),
     "coherence_0": (1_000_000, (10.0, 3.0, 2.0, SRC, DET, 6, 0.0, 0.5)),
-    "mu_50": (1_000_000, (8.0, 2.5, 1.5, SourceConfig(mu=50.0), DetectorConfig(dark_prob=1e-4), 7, 1.0, 0.3)),
-    "ragged_chunks": (1_013, (2.2222, 0.9, 0.45, SourceConfig(mu=2.0), DetectorConfig(dark_prob=1e-3), 11, 0.8, 0.25)),
+    "mu_50": (1_000_000, (8.1, 2.5, 1.5, SourceConfig(mu=50.0), DetectorConfig(dark_prob=1e-4), 7, 1.0, 0.3)),
+    "ragged_chunks": (1_013, (2.25, 0.9, 0.45, SourceConfig(mu=2.0), DetectorConfig(dark_prob=1e-3), 11, 0.8, 0.25)),
 }
 
 
@@ -360,6 +360,27 @@ class TestDynamicSwitch:
     def test_validation(self):
         with pytest.raises(ContractViolation):
             run_dynamic_switch(0.0, 18.0, 6.0, SRC, DET, rng=0)
+
+    @pytest.mark.parametrize("duration_s, bin_seconds, rep_rate", [
+        (1.0, 0.3, 150e3),  # 3.33 bins
+        (0.001, 1e-5, 150e3),  # 1.5 pulses per bin
+    ])
+    def test_fractional_bins_or_pulses_rejected(self, duration_s, bin_seconds, rep_rate):
+        with pytest.raises(ContractViolation, match="whole numbers"):
+            run_dynamic_switch(duration_s, 1.0, 0.5, SourceConfig(rep_rate=rep_rate), DET, rng=0, bin_seconds=bin_seconds)
+
+    @pytest.mark.parametrize("duration_s, bin_seconds, rep_rate, bins, per_bin", [
+        (0.009, 0.001, 1e5, 9, 100),  # int(duration * rep_rate) would sample 899 pulses
+        (0.035, 0.005, 1e4, 7, 50),  # duration / bin is 7.000000000000001, whose ceil is 8
+        (2.4, 0.05, 150e3, 48, 7_500),  # duration / bin is 47.99999999999999
+    ])
+    def test_every_bin_holds_pulses_per_bin(self, duration_s, bin_seconds, rep_rate, bins, per_bin):
+        # with dark_prob 1 every pulse clicks at both detectors, so each bin counts its pulses
+        trace = run_dynamic_switch(duration_s, 0.01, 0.004, SourceConfig(rep_rate=rep_rate),
+                                   DetectorConfig(dark_prob=1.0), rng=1, bin_seconds=bin_seconds)
+        assert trace.pulses_per_bin == per_bin and trace.t.size == bins
+        assert np.all(trace.n1 == per_bin) and np.all(trace.n2 == per_bin)
+        assert trace.t[-1] < duration_s
 
     def test_deterministic_for_seed(self):
         a = run_dynamic_switch(10.0, 5.0, 2.0, SRC, DET, rng=8, bin_seconds=0.5)
