@@ -19,15 +19,14 @@ source, detector = SourceConfig(), DetectorConfig()
 
 print(f"mean photons per gate {source.mu}, efficiency {detector.efficiency}, "
       f"loss {detector.system_loss_db} dB, {plan.pulses_per_point} pulses per point")
-scans = {(s.phi_s, s.block): s for s in run_sweep(plan, source, detector)}
-
-reports = duality_report(*([scans[(phi_s, block)] for phi_s in phi_s_values] for block in BLOCKS))
+scans = run_sweep(plan, source, detector)  # each phi_s in turn: its open, path0 and path1 scans
+reports = duality_report(scans)
+open_scans = [s for s in scans if s.block == "none"]
 
 print(f"\n{'phi_s':>8} {'V':>8} {'+-':>7} {'D':>8} {'+-':>7}   counts at fringe peak")
-for phi_s, rep in zip(phi_s_values, reports):
+for rep, scan in zip(reports, open_scans):
     v, d = rep.visibility, rep.distinguishability
-    peak = int(scans[(phi_s, "none")].n1.max())
-    print(f"{phi_s:8.4f} {v.value:8.4f} {v.sigma:7.4f} {d.value:8.4f} {d.sigma:7.4f}   {peak}")
+    print(f"{rep.phi_s:8.4f} {v.value:8.4f} {v.sigma:7.4f} {d.value:8.4f} {d.sigma:7.4f}   {int(scan.n1.max())}")
 
 print("\nthe mirror setting shows no fringe; the balanced setting reaches the "
       "device contrast ~0.967; distinguishability runs the other way")
@@ -40,15 +39,14 @@ if "--plot" in sys.argv:
     else:
         fig, axes = plt.subplots(len(phi_s_values), 3, figsize=(11, 2.2 * len(phi_s_values)),
                                  sharex=True, sharey="row")
-        for row, phi_s in enumerate(phi_s_values):
-            for col, block in enumerate(("none", "path0", "path1")):
-                s = scans[(phi_s, block)]
-                axes[row][col].plot(s.phi_x, s.n1, "o-", ms=3, label="D1")
-                axes[row][col].plot(s.phi_x, s.n2, "s--", ms=3, label="D2")
-                if row == 0:
-                    axes[row][col].set_title({"none": "both open", "path0": "path 0 blocked",
-                                              "path1": "path 1 blocked"}[block])
-            axes[row][0].set_ylabel(f"phi_s={phi_s:.2f}")
+        for i, s in enumerate(scans):
+            row, col = divmod(i, len(BLOCKS))
+            axes[row][col].plot(s.phi_x, s.n1, "o-", ms=3, label="D1")
+            axes[row][col].plot(s.phi_x, s.n2, "s--", ms=3, label="D2")
+            if row == 0:
+                axes[row][col].set_title({"none": "both open", "path0": "path 0 blocked",
+                                          "path1": "path 1 blocked"}[s.block])
+            axes[row][0].set_ylabel(f"phi_s={s.phi_s:.2f}")
         axes[0][0].legend()
         for ax in axes[-1]:
             ax.set_xlabel("phi_x (rad)")

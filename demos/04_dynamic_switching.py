@@ -10,13 +10,10 @@ import sys
 
 import numpy as np
 
-from dualitysim import DetectorConfig, SourceConfig, run_dynamic_switch
+from dualitysim import DetectorConfig, SourceConfig, SwitchPlan, run_dynamic_switch
 
-source, detector = SourceConfig(), DetectorConfig()
-trace = run_dynamic_switch(
-    duration_s=72.0, toggle_period_s=18.0, triangle_period_s=6.0,
-    source=source, detector=detector, rng=2, coherence=1.0, bin_seconds=0.6,
-)
+plan = SwitchPlan(duration_s=72.0, toggle_period_s=18.0, triangle_period_s=6.0, bin_seconds=0.6)
+trace = run_dynamic_switch(plan, SourceConfig(), DetectorConfig(), seed=2, coherence=1.0)
 
 segments = np.floor(trace.t / 18.0).astype(int)
 print(f"{trace.t.size} bins of 0.6 s, {trace.pulses_per_bin} pulses each\n")

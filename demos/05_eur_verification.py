@@ -11,20 +11,18 @@ import math
 
 import numpy as np
 
-from dualitysim import BLOCKS, RunPlan, duality_report, run_sweep
+from dualitysim import RunPlan, duality_report, run_sweep
 
 phi_s_values = tuple(np.linspace(0.0, math.pi / 2, 9))
 plan = RunPlan(phi_s_values=phi_s_values, pulses_per_point=2_000_000, coherence=0.967, seed=2)
-scans = {(s.phi_s, s.block): s for s in run_sweep(plan)}
 
 print(f"{'phi_s':>7} | {'Hmin(frm)':>9} {'Hmax(frm)':>9} {'EUR(frm)':>9} | "
       f"{'Hmin(def)':>9} {'Hmax(def)':>9} {'EUR(def)':>9} | {'|dEUR|':>8} {'3(sa+sb)':>8}")
-# one scorecard per phi_s, all evaluated together from the open, path0 and path1 scans
-reports = duality_report(*([scans[(phi_s, block)] for phi_s in phi_s_values] for block in BLOCKS))
-for phi_s, rep in zip(phi_s_values, reports):
+# one scorecard per phi_s, all evaluated together from its open, path0 and path1 scans
+for rep in duality_report(run_sweep(plan)):
     f, d, eq = rep.formula.quantities, rep.definition.quantities, rep.equivalence
     tol = 3 * (rep.formula.eur_sigma + rep.definition.eur_sigma)
-    print(f"{phi_s:7.4f} | {f.h_min_z:9.5f} {f.h_max_w:9.5f} {f.eur_sum:9.5f} | "
+    print(f"{rep.phi_s:7.4f} | {f.h_min_z:9.5f} {f.h_max_w:9.5f} {f.eur_sum:9.5f} | "
           f"{d.h_min_z:9.5f} {d.h_max_w:9.5f} {d.eur_sum:9.5f} | {eq.d_eur:8.5f} {tol:8.5f}")
 
 print("\nboth routes agree within propagated error bars, and every sum stays "

@@ -46,6 +46,7 @@ from .montecarlo import (
     DetectorConfig,
     RunPlan,
     SourceConfig,
+    SwitchPlan,
     SwitchTrace,
     cell_rng,
     click_probabilities,

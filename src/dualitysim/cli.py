@@ -40,7 +40,7 @@ from .montecarlo import (
     DetectorConfig,
     RunPlan,
     SourceConfig,
-    is_whole,
+    SwitchPlan,
     run_dynamic_switch,
     run_sweep,
 )
@@ -55,8 +55,6 @@ EXIT_IO = 3
 
 DEFAULT_PHI_S = tuple(float(x) for x in np.linspace(0.0, math.pi / 2.0, 9))
 DEFAULT_SEED = 2
-MAX_SWITCH_BINS = 10**7  # caps the memory of a switch run's binned counts
-MAX_SWITCH_PULSES = 10**9  # caps the sampling time of a switch run (the reference run is 1.08e7)
 
 _PI_LITERAL = re.compile(r"^\s*(-?\d*\.?\d*)\s*\*?\s*pi\s*(?:/\s*(\d+\.?\d*))?\s*$", re.IGNORECASE)
 
@@ -76,26 +74,6 @@ def parse_angle(value) -> float:
         return factor * math.pi / denom
     except (ValueError, OverflowError, ZeroDivisionError):
         raise ConfigError(f"cannot parse angle {value!r} (use radians or pi fractions)") from None
-
-
-@dataclass(frozen=True)
-class SwitchPlan:
-    """Timing of the dynamic switching scenario."""
-
-    duration_s: float = 72.0
-    toggle_period_s: float = 18.0
-    triangle_period_s: float = 6.0
-    bin_seconds: float = 0.2
-
-    def __post_init__(self):
-        if not all(math.isfinite(x) and x > 0 for x in dataclasses.astuple(self)):
-            raise ConfigError("all durations and periods must be finite and positive")
-        bins = self.duration_s / self.bin_seconds
-        if bins > MAX_SWITCH_BINS:
-            raise ConfigError(f"duration_s / bin_seconds asks for more than {MAX_SWITCH_BINS} bins")
-        # A ragged last bin would hold fewer pulses than pulses_per_bin says.
-        if not is_whole(bins):
-            raise ConfigError(f"duration_s must be a whole number of bin_seconds, got {bins!r} bins")
 
 
 @dataclass(frozen=True)
@@ -124,14 +102,10 @@ class ExperimentConfig:
             start, stop, steps = self.plan.phi_x_grid
             if steps < MIN_FRINGE_POINTS or stop - start < 2.0 * math.pi - 1e-9:
                 raise ConfigError(f"plan.phi_x_grid: visibility needs {MIN_FRINGE_POINTS}+ steps over a 2pi period")
-        if self.scenario == "switch" and self.mode == IDEAL_MODE:
-            raise ConfigError("mode: the switch scenario is a sampled time series; use montecarlo")
-        if self.scenario == "switch" and self.switch.duration_s * self.source.rep_rate > MAX_SWITCH_PULSES:
-            raise ConfigError(f"switch.duration_s * source.rep_rate asks for more than {MAX_SWITCH_PULSES} pulses")
-        # Unequal bins would hold other pulse counts than the reported pulses_per_bin.
-        per_bin = self.switch.bin_seconds * self.source.rep_rate
-        if self.scenario == "switch" and not is_whole(per_bin):
-            raise ConfigError(f"switch.bin_seconds * source.rep_rate must be a whole number of pulses, got {per_bin!r}")
+        if self.scenario == "switch":
+            if self.mode == IDEAL_MODE:
+                raise ConfigError("mode: the switch scenario is a sampled time series; use montecarlo")
+            self.switch.pulses(self.source)
 
 
 def _build(section: str, cls, kwargs):
@@ -197,17 +171,19 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
     )
 
 
-def load_config(path) -> ExperimentConfig:
-    """Read and validate a JSON experiment config, applying defaults."""
+def _read_config(path):
+    """The JSON value in the config file at ``path``; a file that cannot be read or parsed is a ConfigError."""
     try:
-        text = Path(path).read_text()
-    except OSError as exc:
-        raise ConfigError(f"cannot read config {path}: {exc}") from None
-    try:
-        raw = json.loads(text)
+        return json.loads(Path(path).read_text(encoding="utf-8"))
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config {path} line {exc.lineno} col {exc.colno}: {exc.msg}") from None
-    return config_from_dict(raw)
+    except (OSError, ValueError, RecursionError) as exc:  # ValueError: not UTF-8, or an integer past the digit limit
+        raise ConfigError(f"cannot read config {path}: {exc}") from None
+
+
+def load_config(path) -> ExperimentConfig:
+    """Read and validate a JSON experiment config, applying defaults."""
+    return config_from_dict(_read_config(path))
 
 
 def config_hash(cfg: ExperimentConfig) -> str:
@@ -326,16 +302,8 @@ def run(cfg: ExperimentConfig) -> int:
 
     try:
         if cfg.scenario == "switch":
-            trace = run_dynamic_switch(
-                cfg.switch.duration_s,
-                cfg.switch.toggle_period_s,
-                cfg.switch.triangle_period_s,
-                cfg.source,
-                cfg.detector,
-                cfg.plan.seed,
-                coherence=cfg.plan.resolved_coherence(cfg.mode),
-                bin_seconds=cfg.switch.bin_seconds,
-            )
+            trace = run_dynamic_switch(cfg.switch, cfg.source, cfg.detector, cfg.plan.seed,
+                                       coherence=cfg.plan.resolved_coherence(cfg.mode))
             columns = [_column(x) for x in (trace.t, trace.phi_s, trace.phi_x, trace.n1, trace.n2)]
             _write_csv(out / "timeseries.csv", "t,phi_s,phi_x,n1,n2", [columns])
             report = dict(provenance, bins=int(trace.t.size), pulses_per_bin=trace.pulses_per_bin)
@@ -343,8 +311,7 @@ def run(cfg: ExperimentConfig) -> int:
             return EXIT_OK
 
         scans = run_sweep(cfg.plan, cfg.source, cfg.detector, mode=cfg.mode)
-        by_key = {(s.phi_s, s.block): s for s in scans}
-        reports = duality_report(*([by_key[(phi_s, block)] for phi_s in cfg.plan.phi_s_values] for block in BLOCKS))
+        reports = duality_report(scans)
         violations = _violations(reports, cfg.mode)
         _write_csv(out / "fringes.csv", "phi_s,phi_x,block,n1,n2,pulses", _fringe_blocks(scans))
         _write_csv(out / "duality.csv", DUALITY_HEADER, [_duality_columns(reports)])
@@ -399,7 +366,7 @@ def _build_parser() -> _Parser:
 def main(argv=None) -> int:
     try:
         args = _build_parser().parse_args(argv)
-        raw = {} if args.config is None else json.loads(Path(args.config).read_text())
+        raw = {} if args.config is None else _read_config(args.config)
         if not isinstance(raw, dict):
             raise ConfigError("top level: expected a JSON object")
         raw.setdefault("scenario", args.scenario)
@@ -419,9 +386,6 @@ def main(argv=None) -> int:
         cfg = config_from_dict(raw)
     except (ConfigError, ContractViolation) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except (OSError, json.JSONDecodeError) as exc:
-        print(f"error: cannot load config: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     return run(cfg)
 

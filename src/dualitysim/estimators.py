@@ -22,10 +22,11 @@ directly from the measured grid (argmax/argmin, ties broken toward the lowest
 phi_x): the optional sinusoid fit below is presentation-only and never feeds
 entropies.
 
-The scorecard is one array pass.  :func:`duality_report` stacks the scans of
-every phi_s into rows and computes the grid extrema, V, D, both routes, their
-sigmas and the route equivalence for all rows at once; the per-setting
-functions (:func:`estimate_visibility`, :func:`estimate_distinguishability`,
+The scorecard is one array pass.  :func:`duality_report` takes a sweep's
+scans as they come, groups them by block label, stacks each group into rows
+and computes the grid extrema, V, D, both routes, their sigmas and the route
+equivalence for all rows at once; the per-setting functions
+(:func:`estimate_visibility`, :func:`estimate_distinguishability`,
 :func:`eur_formula_route`, :func:`eur_definition_route`,
 :func:`equivalence_report`) are one-row calls of the same stages.  Each stage
 reports its failed checks per row instead of raising, so a batch raises the
@@ -400,19 +401,22 @@ def equivalence_report(route_a: RouteReport, route_b: RouteReport, k: float = 1.
     return EquivalenceReport(**{name: x.item() for name, x in columns.items()}, k=k)
 
 
-def duality_report(scans_open, scans_blocked_0, scans_blocked_1, k: float = 1.0) -> list:
-    """Full dual-route scorecards for many phi_s settings at once, one DualityReport per position.
+def duality_report(scans, k: float = 1.0) -> list:
+    """Full dual-route scorecards for many phi_s settings at once, one DualityReport per setting.
 
-    Position i of the three sequences holds the open, path0-blocked and
-    path1-blocked scans of one phi_s; the scans of one sequence share one
-    phi_x length.  Where a setting cannot be estimated, the error raised is
-    the one the per-setting estimators raise for the first such position.
+    ``scans`` come as :func:`run_sweep` returns them, blocks in any interleaving:
+    the i-th open, path0 and path1 scans are the i-th setting, and the scans of
+    one block share one phi_x length.  Where a setting cannot be estimated, the
+    error raised is the one the per-setting estimators raise for the first one.
     """
-    if not len(scans_open) == len(scans_blocked_0) == len(scans_blocked_1):
+    groups = {block: [] for block in BLOCKS}
+    for scan in scans:
+        groups[scan.block].append(scan)
+    if len({len(group) for group in groups.values()}) > 1:
         raise ContractViolation("need one open, one path0 and one path1 scan per phi_s")
-    if not len(scans_open):
+    if not groups[BLOCK_NONE]:
         return []
-    op, b0, b1 = _Rows(scans_open), _Rows(scans_blocked_0), _Rows(scans_blocked_1)
+    op, b0, b1 = (_Rows(group) for group in groups.values())
     v, sigma_v, v_checks = _visibility(op)
     d, sigma_d, d_checks = _distinguishability(b0, b1)
     pair, pair_checks = _fringe_pair(op)
@@ -423,7 +427,7 @@ def duality_report(scans_open, scans_blocked_0, scans_blocked_1, k: float = 1.0)
     formula = dict(_formula_route(v, sigma_v, d, sigma_d), dropped_points=dropped)
     definition = dict(_definition_route(*pair, d, sigma_d), dropped_points=dropped)
     return _objects(DualityReport, {
-        "phi_s": [s.phi_s for s in scans_open],
+        "phi_s": [s.phi_s for s in groups[BLOCK_NONE]],
         "visibility": _estimates(v, sigma_v),
         "distinguishability": _estimates(d, sigma_d),
         "formula": _route_reports(FORMULA_ROUTE, formula),

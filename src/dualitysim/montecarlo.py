@@ -24,12 +24,14 @@ array pass, seeds PCG64's LCG from the result, and sets one reused
 Generator to each cell's state in turn.  Reusing the Generator is safe
 because the only state its binomial sampler keeps between draws is a setup
 cache keyed on (n, p).  The switch scenario draws from one stream, chunk by
-chunk: every D1 uniform of a chunk, then every D2 uniform of it.
+chunk: every D1 uniform of a chunk, then every D2 uniform of it.  The input
+rules live in the plans: :class:`RunPlan` for a sweep, :class:`SwitchPlan`
+(its caps and whole bins of whole pulses) for a switch run.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 
 import numpy as np
 
@@ -53,6 +55,8 @@ MAX_PHI_X_STEPS = 2**16  # caps the cells and the memory a sweep plan may ask fo
 # Caps the cells of a sweep (9 phi_s x 3 blocks x 2^16 steps fit); it also keeps
 # every spawn-key word of a cell below 2^32, one uint32 word each.
 MAX_SWEEP_CELLS = 2**21
+MAX_SWITCH_BINS = 10**7  # caps the memory of a switch run's binned counts
+MAX_SWITCH_PULSES = 10**9  # caps the sampling time of a switch run (the reference run is 1.08e7)
 
 # numpy's SeedSequence hash-mix (pool of four uint32 words) and PCG64's LCG
 # multiplier; _substream_words and _pcg64_state reproduce their seeding.
@@ -141,6 +145,9 @@ class RunPlan:
             raise ContractViolation(f"phi_x grid needs 2 to {MAX_PHI_X_STEPS} steps, got {steps}")
         if not float(stop) > float(start):
             raise ContractViolation("phi_x grid stop must exceed start")
+        phi_x = self.phi_x_values()
+        if not (np.isfinite(phi_x).all() and (np.diff(phi_x) > 0).all()):
+            raise ContractViolation("phi_x grid must give finite, strictly increasing floats")
         if not 0 <= self.pulses_per_point < 2**63:
             raise ContractViolation("pulses_per_point must lie in [0, 2^63)")
         for b in self.blocks:
@@ -155,6 +162,7 @@ class RunPlan:
         if not 0 <= self.seed < 2**64:
             raise ContractViolation("seed must be a 64-bit unsigned integer")
 
+    @np.errstate(over="ignore", invalid="ignore")  # an overflowing grid is rejected, not warned about
     def phi_x_values(self) -> np.ndarray:
         start, stop, steps = self.phi_x_grid
         return start + (stop - start) * np.arange(steps) / steps
@@ -168,6 +176,36 @@ class RunPlan:
 def is_whole(x: float) -> bool:
     """Whether x is a whole number of at least 1, to a relative tolerance of 1e-9."""
     return math.isfinite(x) and round(x) >= 1 and abs(x - round(x)) <= 1e-9 * x
+
+
+@dataclass(frozen=True)
+class SwitchPlan:
+    """Timing of the dynamic switching scenario: a whole number of bins of ``bin_seconds``."""
+
+    duration_s: float = 72.0
+    toggle_period_s: float = 18.0
+    triangle_period_s: float = 6.0
+    bin_seconds: float = 0.2
+
+    def __post_init__(self):
+        if not all(math.isfinite(x) and x > 0 for x in astuple(self)):
+            raise ContractViolation("all durations and periods must be finite and positive")
+        bins = self.duration_s / self.bin_seconds
+        if bins > MAX_SWITCH_BINS:
+            raise ContractViolation(f"duration_s / bin_seconds asks for more than {MAX_SWITCH_BINS} bins")
+        # A ragged last bin would hold fewer pulses than pulses_per_bin says.
+        if not is_whole(bins):
+            raise ContractViolation(f"duration_s must be a whole number of bin_seconds, got {bins!r} bins")
+
+    def pulses(self, source: SourceConfig) -> tuple:
+        """(bins, pulses_per_bin) of a run at the source's repetition rate, within the pulse cap."""
+        if self.duration_s * source.rep_rate > MAX_SWITCH_PULSES:
+            raise ContractViolation(f"switch.duration_s * source.rep_rate asks for more than {MAX_SWITCH_PULSES} pulses")
+        # Unequal bins would hold other pulse counts than the reported pulses_per_bin.
+        per_bin = self.bin_seconds * source.rep_rate
+        if not is_whole(per_bin):
+            raise ContractViolation(f"switch.bin_seconds * source.rep_rate must be a whole number of pulses, got {per_bin!r}")
+        return round(self.duration_s / self.bin_seconds), round(per_bin)
 
 
 def effective_mean_photons(source: SourceConfig, detector: DetectorConfig) -> float:
@@ -358,25 +396,18 @@ def triangle_wave(t: np.ndarray, period: float, amplitude: float = 2.0 * math.pi
     return amplitude * (1.0 - np.abs(2.0 * frac - 1.0))
 
 
-def run_dynamic_switch(
-    duration_s: float,
-    toggle_period_s: float,
-    triangle_period_s: float,
-    source: SourceConfig,
-    detector: DetectorConfig,
-    rng: np.random.Generator | int,
-    coherence: float = 1.0,
-    bin_seconds: float = 0.2,
-) -> SwitchTrace:
+def run_dynamic_switch(plan: SwitchPlan, source: SourceConfig, detector: DetectorConfig, seed: int,
+                       coherence: float = 1.0) -> SwitchTrace:
     """Continuous phi_x triangle sweep while phi_s toggles between 0 and pi/2.
 
     phi_s starts at 0 (which-path segments with flat, balanced rates) and
-    flips every ``toggle_period_s`` to pi/2 (full-contrast fringe segments).
+    flips every ``plan.toggle_period_s`` to pi/2 (full-contrast fringe
+    segments).  The run is the bins of whole pulses that
+    :meth:`SwitchPlan.pulses` gives, drawn from the stream seeded by ``seed``.
     Each chunk of SWITCH_CHUNK_PULSES pulses draws one uniform per pulse for
     D1, then one per pulse for D2; a pulse clicks at a detector when its
     uniform lies below that detector's click probability, and clicks are
-    binned into windows of ``bin_seconds``.  The run is duration_s /
-    bin_seconds bins of bin_seconds * rep_rate pulses, both whole numbers.
+    binned into windows of ``plan.bin_seconds``.
 
     No click probability exceeds the saturating port's, c(p = 1), so a
     uniform at or above it cannot click.  The phase and click model is
@@ -384,14 +415,8 @@ def run_dynamic_switch(
     fraction c(p = 1), about mu_eff, of them); every draw and every count is
     what evaluating the model on all pulses gives.
     """
-    if min(duration_s, toggle_period_s, triangle_period_s, bin_seconds) <= 0:
-        raise ContractViolation("durations and periods must be positive")
-    bins, per_bin = duration_s / bin_seconds, bin_seconds * source.rep_rate
-    if not (is_whole(bins) and is_whole(per_bin)):
-        raise ContractViolation(f"need whole numbers of bins and of pulses per bin, got {bins!r} and {per_bin!r}")
-    if isinstance(rng, (int, np.integer)):
-        rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(int(rng))))
-    n_bins, pulses_per_bin = round(bins), round(per_bin)
+    n_bins, pulses_per_bin = plan.pulses(source)
+    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
     n_pulses = n_bins * pulses_per_bin
     counts = np.zeros(2 * n_bins, dtype=np.int64)
     # The relative margin keeps the bound above every c even if a vectorised
@@ -405,19 +430,19 @@ def run_dynamic_switch(
         cand = np.flatnonzero(u < c_bound)
         det, idx = np.divmod(cand, size)
         t = (idx + start + 0.5) / source.rep_rate
-        phi_x = triangle_wave(t, triangle_period_s)
-        wave_segment = (np.floor(t / toggle_period_s).astype(np.int64) % 2) == 1
+        phi_x = triangle_wave(t, plan.triangle_period_s)
+        wave_segment = (np.floor(t / plan.toggle_period_s).astype(np.int64) % 2) == 1
         sin_s = np.where(wave_segment, 1.0, 0.0)  # sin(phi_s) for phi_s in {0, pi/2}
         p1 = open_p1(np.sin(phi_x), sin_s, coherence)
         hit = u[cand] < click_probs(np.where(det == 0, p1, 1.0 - p1), source, detector)
         counts += np.bincount(det[hit] * n_bins + (idx[hit] + start) // pulses_per_bin, minlength=2 * n_bins)
 
-    t_bin = (np.arange(n_bins) + 0.5) * bin_seconds
-    phi_s_bin = np.where((np.floor(t_bin / toggle_period_s).astype(np.int64) % 2) == 1, math.pi / 2.0, 0.0)
+    t_bin = (np.arange(n_bins) + 0.5) * plan.bin_seconds
+    phi_s_bin = np.where((np.floor(t_bin / plan.toggle_period_s).astype(np.int64) % 2) == 1, math.pi / 2.0, 0.0)
     return SwitchTrace(
         t=t_bin,
         phi_s=phi_s_bin,
-        phi_x=triangle_wave(t_bin, triangle_period_s),
+        phi_x=triangle_wave(t_bin, plan.triangle_period_s),
         n1=counts[:n_bins].astype(np.float64),
         n2=counts[n_bins:].astype(np.float64),
         pulses_per_bin=pulses_per_bin,

@@ -12,7 +12,6 @@ from pathlib import Path
 import numpy as np
 
 from dualitysim import (
-    BLOCKS,
     CircuitConfig,
     RunPlan,
     circuit_output_state,
@@ -188,10 +187,8 @@ def test_criterion_6_eur_statistics_over_seeds():
             phi_s_values=NINE_PHI_S, pulses_per_point=200_000_000,
             coherence=0.967, seed=seed,
         )
-        scans = sweep_by_setting(plan)
         agree = 0
-        reports = duality_report(*([scans[(phi_s, block)] for phi_s in NINE_PHI_S] for block in BLOCKS))
-        for rep in reports:
+        for rep in duality_report(run_sweep(plan)):
             f = rep.formula
             if f.quantities.eur_sum < 1.0 - 3.0 * f.eur_sigma:
                 eur_failures += 1

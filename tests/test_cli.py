@@ -10,7 +10,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dualitysim import ConfigError, ContractViolation, DualityQuantities, EquivalenceReport, RouteReport
+from dualitysim import (
+    ConfigError,
+    ContractViolation,
+    DualityQuantities,
+    EquivalenceReport,
+    RouteReport,
+    duality_report,
+    run_sweep,
+)
 from dualitysim.cli import (
     DEFAULT_PHI_S,
     DEFAULT_SEED,
@@ -28,6 +36,7 @@ from dualitysim.cli import (
     parse_angle,
     run,
     _column,
+    _duality_columns,
     _write_csv,
 )
 
@@ -219,8 +228,8 @@ class TestRunArtifacts:
         import dualitysim.cli as cli_mod
 
         # force an unphysical scorecard (V = D = 1) through the pipeline
-        def fake_report(scans_open, scans_b0, scans_b1, **kwargs):
-            return [self._unphysical(scan.phi_s) for scan in scans_open]
+        def fake_report(scans, **kwargs):
+            return [self._unphysical(scan.phi_s) for scan in scans if scan.block == "none"]
 
         monkeypatch.setattr(cli_mod, "duality_report", fake_report)
         cfg = config_from_dict(
@@ -240,8 +249,8 @@ class TestRunArtifacts:
         real = cli_mod.duality_report
 
         # the real scorecard, with the settings in ``forced`` replaced by unphysical ones
-        def fake_report(scans_open, scans_b0, scans_b1, **kwargs):
-            reports = real(scans_open, scans_b0, scans_b1, **kwargs)
+        def fake_report(scans, **kwargs):
+            reports = real(scans, **kwargs)
             return [self._unphysical(r.phi_s, *forced[i]) if i in forced else r for i, r in enumerate(reports)]
 
         monkeypatch.setattr(cli_mod, "duality_report", fake_report)
@@ -258,6 +267,15 @@ class TestRunArtifacts:
             ]
         report = json.loads((tmp_path / "out" / "report.json").read_text())
         assert report["violations"] == expected
+
+    def test_repeated_phi_s_scores_each_repeat_on_its_own_scans(self, tmp_path):
+        cfg = config_from_dict({"scenario": "sweep", "output_dir": str(tmp_path / "out"),
+                                "plan": {"phi_s_values": [0.5, 0.5], "pulses_per_point": 4000, "seed": 1}})
+        assert run(cfg) == EXIT_OK
+        rows = (tmp_path / "out" / "duality.csv").read_text().splitlines()[1:]
+        scans = run_sweep(cfg.plan, cfg.source, cfg.detector, mode=cfg.mode)
+        want = [",".join(row) for i in (0, 3) for row in zip(*_duality_columns(duality_report(scans[i:i + 3])))]
+        assert rows == want and rows[0] != rows[1]
 
 
 def _per_value_fmt(x) -> str:
@@ -362,6 +380,8 @@ UNUSABLE_INPUTS = {
     "switch_zero_pulses": ("switch", {"switch": {"duration_s": 1e-9}}),
     "switch_bin_under_one_pulse": ("switch", {"switch": {"duration_s": 1e-6, "bin_seconds": 1e-6}}),
     "switch_fractional_pulses_per_bin": ("switch", {"switch": {"duration_s": 0.001, "bin_seconds": 1e-5}}),
+    "phi_x_grid_repeats_floats": ("sweep", {"plan": {"phi_x_grid": [1e20, 1.0000000000000002e20, 32]}}),
+    "phi_x_grid_overflows": ("sweep", {"plan": {"phi_x_grid": [-1e308, 1e308, 32]}}),
     "sweep_cells_beyond_cap": ("sweep", {"plan": {"phi_s_values": [0.1] * 33, "phi_x_grid": [0, "2pi", 2**16]}}),
 }
 
@@ -433,3 +453,38 @@ def test_any_json_config_is_built_or_exits_1_with_one_line(raw, tmp_path_factory
         code = main([scenario if scenario in SCENARIOS else "sweep", "--config", str(cfg_path)])
     assert code == EXIT_CONFIG
     assert len(err.getvalue().splitlines()) == 1 and err.getvalue().startswith("error: ")
+
+
+# A valid small config of each scenario, the base of the one-byte mutations below.
+VALID_CONFIG_FILES = {
+    "sweep": {"scenario": "sweep", "plan": {"phi_s_values": [0.5], "pulses_per_point": 1000}},
+    "eur-verify": {"scenario": "eur-verify", "mode": "ideal", "plan": {"phi_s_values": ["0", "pi/2"]}},
+    "switch": {"scenario": "switch", "switch": {"duration_s": 1.0, "toggle_period_s": 0.5, "bin_seconds": 0.1}},
+}
+
+
+@st.composite
+def config_files(draw):
+    """A scenario and config-file bytes: any bytes, or a valid config of that scenario with one byte changed."""
+    scenario = draw(st.sampled_from(SCENARIOS))
+    valid = json.dumps(VALID_CONFIG_FILES[scenario]).encode()
+    digits = [i for i, byte in enumerate(valid) if chr(byte).isdigit()]
+    # any byte anywhere, or a digit over a digit, which often keeps the config valid
+    i, byte = draw(st.tuples(st.integers(0, len(valid) - 1), st.integers(0, 255))
+                   | st.tuples(st.sampled_from(digits), st.sampled_from(b"0123456789")))
+    mutated = valid[:i] + bytes([byte]) + valid[i + 1:]
+    return scenario, draw(st.just(mutated) | st.binary(max_size=32))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)  # the same examples on every run
+@given(case=config_files())
+def test_any_config_file_bytes_exit_0_1_or_2_with_one_error_line(case, tmp_path_factory):
+    scenario, data = case
+    tmp = tmp_path_factory.mktemp("bytes")
+    (tmp / "cfg.json").write_bytes(data)
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+        code = main([scenario, "--config", str(tmp / "cfg.json"), "--out", str(tmp / "out")])
+    assert code in (EXIT_OK, EXIT_CONFIG, EXIT_VIOLATION)
+    if code == EXIT_CONFIG:
+        assert len(err.getvalue().splitlines()) == 1 and err.getvalue().startswith("error: ")

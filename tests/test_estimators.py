@@ -242,8 +242,7 @@ class TestEquivalenceAndReports:
 
     def test_ideal_diffs_vanish_for_any_phi_s(self):
         plan = RunPlan(phi_s_values=tuple(np.linspace(0.0, math.pi / 2, 9)), coherence=1.0, seed=0)
-        scans = {(s.phi_s, s.block): s for s in run_sweep(plan, mode="ideal")}
-        reports = duality_report(*([scans[(phi_s, b)] for phi_s in plan.phi_s_values] for b in BLOCKS))
+        reports = duality_report(run_sweep(plan, mode="ideal"))
         assert [rep.phi_s for rep in reports] == list(plan.phi_s_values)
         for rep in reports:
             assert rep.equivalence.d_h_min < 1e-12
@@ -259,8 +258,7 @@ class TestEquivalenceAndReports:
             plan = RunPlan(
                 phi_s_values=(math.pi / 4,), pulses_per_point=100_000, seed=seed
             )
-            scans = {s.block: s for s in run_sweep(plan)}
-            [rep] = duality_report([scans["none"]], [scans["path0"]], [scans["path1"]], k=3.0)
+            [rep] = duality_report(run_sweep(plan), k=3.0)
             eq = rep.equivalence
             hits += eq.within_h_min and eq.within_h_max and eq.within_eur
         assert hits >= 0.99 * len(seeds)
@@ -286,22 +284,32 @@ class TestEquivalenceAndReports:
             phi_s=scans["none"].phi_s, block="none", phi_x=scans["none"].phi_x,
             n1=n1, n2=n2, pulses_per_point=scans["none"].pulses_per_point,
         )
-        [rep] = duality_report([broken], [scans["path0"]], [scans["path1"]])
+        [rep] = duality_report([broken, scans["path0"], scans["path1"]])
         assert rep.formula.dropped_points == 1
         assert rep.definition.dropped_points == 1
 
     def test_open_and_blocked_phi_s_must_match(self):
         scans, other = ideal_scans(math.pi / 4), ideal_scans(math.pi / 3)
         with pytest.raises(ContractViolation, match="open and blocked"):
-            duality_report([scans["none"]], [other["path0"]], [other["path1"]])
+            duality_report([scans["none"], other["path0"], other["path1"]])
 
     def test_empty_sequences_give_no_reports(self):
-        assert duality_report([], [], []) == []
+        assert duality_report([]) == []
 
     def test_sequences_of_unequal_length_rejected(self):
         scans = ideal_scans(math.pi / 4)
         with pytest.raises(ContractViolation, match="one open, one path0 and one path1"):
-            duality_report([scans["none"]] * 2, [scans["path0"]], [scans["path1"]])
+            duality_report([scans["none"], scans["none"], scans["path0"], scans["path1"]])
+
+    def test_block_interleaving_leaves_reports_unchanged(self):
+        # the i-th scan of each block is the i-th setting, however the blocks interleave
+        plan = RunPlan(phi_s_values=(0.0, 0.7, 0.7, math.pi / 2), pulses_per_point=4000, seed=5)
+        scans = run_sweep(plan)
+        want = _bits(duality_report(scans))
+        assert len(want) == 4
+        for key in (lambda s: BLOCKS.index(s.block), lambda s: -BLOCKS.index(s.block)):  # stable: each block keeps its order
+            assert _bits(duality_report(sorted(scans, key=key))) == want
+        assert _bits(duality_report(run_sweep(replace(plan, blocks=BLOCKS[::-1])))) == want
 
 
 class TestScanValidation:
@@ -526,10 +534,15 @@ def _bits(x):
     return x
 
 
+def _in_block_order(triple):
+    """A setting's scans as (open, path0, path1), the roles duality_report reads off their labels."""
+    return sorted(triple, key=lambda s: BLOCKS.index(s.block))
+
+
 def assert_same_as_reference(triples, k=1.0):
-    """duality_report over all settings gives what the reference gives setting by setting."""
-    want = _outcome(lambda: [_ref_duality_report(*t, k=k) for t in triples])
-    got = _outcome(lambda: duality_report(*(list(x) for x in zip(*triples)), k=k))
+    """duality_report over all settings, as one flat list, gives what the reference gives setting by setting."""
+    want = _outcome(lambda: [_ref_duality_report(*_in_block_order(t), k=k) for t in triples])
+    got = _outcome(lambda: duality_report([scan for t in triples for scan in t], k=k))
     assert _bits(got) == _bits(want)
     assert got == want
     for scan_open, scan_b0, scan_b1 in triples:  # the per-setting estimators are one-row calls of the same pass
@@ -632,8 +645,8 @@ class TestArrayPassMatchesReference:
         ]
         # the low-count sweep of the edge golden: 4000 pulses per point, coherence 0, seed 3
         plan = RunPlan(phi_s_values=(0.0, math.pi / 4, math.pi / 2), pulses_per_point=4000, coherence=0.0, seed=3)
-        scans = {(s.phi_s, s.block): s for s in run_sweep(plan)}
-        triples += [tuple(scans[(p, b)] for b in BLOCKS) for p in plan.phi_s_values]
+        scans = run_sweep(plan)
+        triples += [tuple(scans[i:i + len(BLOCKS)]) for i in range(0, len(scans), len(BLOCKS))]
         # an ideal setting whose V sigma moves in the last bit if the squares multiply instead of calling pow
         triples.append(_sweep_triple(0.9040558713560102, 32, 120_000, 1.0, 0, "ideal"))
         reports = assert_same_as_reference(triples)
@@ -665,7 +678,8 @@ class TestArrayPassMatchesReference:
                 b1 = replace(b1, phi_s=1.0)
             broken.append((o, b0, b1))
         triples = [good, broken[0], good, broken[1]]
-        first = _outcome(lambda: _ref_duality_report(*broken[0]))
-        second = _outcome(lambda: _ref_duality_report(*broken[1]))
-        assert isinstance(first, tuple) and isinstance(second, tuple) and first != second
-        assert assert_same_as_reference(triples) == first
+        first, second = (_outcome(lambda t=t: _ref_duality_report(*_in_block_order(t))) for t in broken)
+        # labels fix the roles, so swapped blocked scans are no fault and the second setting's error is raised
+        assert isinstance(first, tuple) != ("swapped_blocks" in faults)
+        assert isinstance(second, tuple) and first != second
+        assert assert_same_as_reference(triples) == (second if "swapped_blocks" in faults else first)

@@ -11,6 +11,7 @@ from dualitysim import (
     DetectorConfig,
     RunPlan,
     SourceConfig,
+    SwitchPlan,
     cell_rng,
     click_probabilities,
     click_probs,
@@ -248,6 +249,10 @@ class TestRunSweep:
             RunPlan(phi_s_values=(0.1,), blocks=("nope",))
         with pytest.raises(ContractViolation):
             RunPlan(phi_s_values=(0.1,), seed=-1)
+        # grids whose phi_x floats repeat, or overflow stop - start into NaN
+        for grid in ((1e20, 1.0000000000000002e20, 32), (-1e308, 1e308, 32)):
+            with pytest.raises(ContractViolation, match="strictly increasing"):
+                RunPlan(phi_s_values=(0.1,), phi_x_grid=grid)
 
     def test_sweep_cell_cap(self):
         grid = (0.0, 2 * math.pi, MAX_PHI_X_STEPS)
@@ -277,37 +282,38 @@ class TestRunSweep:
         assert np.array_equal(a, c)
 
 
-def per_pulse_switch(duration_s, toggle_period_s, triangle_period_s, source, detector, seed, coherence, bin_seconds):
+def per_pulse_switch(plan, source, detector, seed, coherence):
     """Switch counts with the phase and click model evaluated on every pulse, the same draws in the same order."""
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
-    n_bins = round(duration_s / bin_seconds)
-    n_pulses = n_bins * round(bin_seconds * source.rep_rate)
+    n_bins = round(plan.duration_s / plan.bin_seconds)
+    n_pulses = n_bins * round(plan.bin_seconds * source.rep_rate)
     counts = np.zeros((2, n_bins), dtype=np.int64)
     for start in range(0, n_pulses, montecarlo.SWITCH_CHUNK_PULSES):
         idx = np.arange(start, min(start + montecarlo.SWITCH_CHUNK_PULSES, n_pulses))
         t = (idx + 0.5) / source.rep_rate
-        phi_x = triangle_wave(t, triangle_period_s)
-        wave_segment = (np.floor(t / toggle_period_s).astype(np.int64) % 2) == 1
+        phi_x = triangle_wave(t, plan.triangle_period_s)
+        wave_segment = (np.floor(t / plan.toggle_period_s).astype(np.int64) % 2) == 1
         p1 = open_p1(np.sin(phi_x), np.where(wave_segment, 1.0, 0.0), coherence)
         c1 = click_probs(p1, source, detector)
         c2 = click_probs(1.0 - p1, source, detector)
         click1 = rng.random(idx.size) < c1
         click2 = rng.random(idx.size) < c2
-        bins = np.minimum((t / bin_seconds).astype(np.int64), n_bins - 1)
+        bins = np.minimum((t / plan.bin_seconds).astype(np.int64), n_bins - 1)
         counts[0] += np.bincount(bins[click1], minlength=n_bins)
         counts[1] += np.bincount(bins[click2], minlength=n_bins)
     return counts
 
 
-# (SWITCH_CHUNK_PULSES, (duration_s, toggle_period_s, triangle_period_s, source, detector, seed, coherence,
-# bin_seconds)); the small chunk leaves a ragged last chunk.
+# (SWITCH_CHUNK_PULSES, (plan, source, detector, seed, coherence)); the small chunk leaves a ragged last chunk.
 SWITCH_CASES = {
-    "reference": (1_000_000, (72.0, 18.0, 6.0, SRC, DET, 2, 1.0, 0.6)),
-    "dark_prob_1": (1_000_000, (3.0, 1.0, 0.7, SRC, DetectorConfig(dark_prob=1.0), 5, 0.967, 0.2)),
-    "coherence_0": (1_000_000, (10.0, 3.0, 2.0, SRC, DET, 6, 0.0, 0.5)),
-    "mu_50": (1_000_000, (8.1, 2.5, 1.5, SourceConfig(mu=50.0), DetectorConfig(dark_prob=1e-4), 7, 1.0, 0.3)),
-    "ragged_chunks": (1_013, (2.25, 0.9, 0.45, SourceConfig(mu=2.0), DetectorConfig(dark_prob=1e-3), 11, 0.8, 0.25)),
+    "reference": (1_000_000, (SwitchPlan(72.0, 18.0, 6.0, 0.6), SRC, DET, 2, 1.0)),
+    "dark_prob_1": (1_000_000, (SwitchPlan(3.0, 1.0, 0.7, 0.2), SRC, DetectorConfig(dark_prob=1.0), 5, 0.967)),
+    "coherence_0": (1_000_000, (SwitchPlan(10.0, 3.0, 2.0, 0.5), SRC, DET, 6, 0.0)),
+    "mu_50": (1_000_000, (SwitchPlan(8.1, 2.5, 1.5, 0.3), SourceConfig(mu=50.0), DetectorConfig(dark_prob=1e-4), 7, 1.0)),
+    "ragged_chunks": (1_013, (SwitchPlan(2.25, 0.9, 0.45, 0.25), SourceConfig(mu=2.0),
+                              DetectorConfig(dark_prob=1e-3), 11, 0.8)),
 }
+REFERENCE_SWITCH = SwitchPlan(72.0, 18.0, 6.0, bin_seconds=0.6)
 
 
 class TestDynamicSwitch:
@@ -315,7 +321,7 @@ class TestDynamicSwitch:
     def test_screened_sampler_matches_per_pulse_model(self, name, monkeypatch):
         chunk, case = SWITCH_CASES[name]
         monkeypatch.setattr(montecarlo, "SWITCH_CHUNK_PULSES", chunk)
-        trace = run_dynamic_switch(*case[:6], coherence=case[6], bin_seconds=case[7])
+        trace = run_dynamic_switch(*case)
         counts = per_pulse_switch(*case)
         assert np.array_equal(trace.n1, counts[0]) and np.array_equal(trace.n2, counts[1])
         assert counts.sum() > 0
@@ -327,7 +333,7 @@ class TestDynamicSwitch:
         )
 
     def test_alternating_segments(self):
-        trace = run_dynamic_switch(72.0, 18.0, 6.0, SRC, DET, rng=2, coherence=1.0, bin_seconds=0.6)
+        trace = run_dynamic_switch(REFERENCE_SWITCH, SRC, DET, seed=2, coherence=1.0)
         segments = np.floor(trace.t / 18.0).astype(int)
         assert segments.max() == 3  # four 18 s segments in 72 s
         for seg in range(4):
@@ -335,7 +341,7 @@ class TestDynamicSwitch:
             assert np.all(trace.phi_s[segments == seg] == expect)
 
     def test_particle_segments_flat_wave_segments_fringe(self):
-        trace = run_dynamic_switch(72.0, 18.0, 6.0, SRC, DET, rng=2, coherence=1.0, bin_seconds=0.6)
+        trace = run_dynamic_switch(REFERENCE_SWITCH, SRC, DET, seed=2, coherence=1.0)
         total = trace.n1 + trace.n2
         keep = total > 0
         phat = trace.n1[keep] / total[keep]
@@ -349,7 +355,7 @@ class TestDynamicSwitch:
             assert phat[m].max() - phat[m].min() > 0.8
 
     def test_zero_coherence_kills_interference(self):
-        trace = run_dynamic_switch(36.0, 18.0, 6.0, SRC, DET, rng=4, coherence=0.0, bin_seconds=1.0)
+        trace = run_dynamic_switch(SwitchPlan(36.0, 18.0, 6.0, bin_seconds=1.0), SRC, DET, seed=4, coherence=0.0)
         segments = np.floor(trace.t / 18.0).astype(int)
         for seg in range(2):
             m = segments == seg
@@ -359,15 +365,15 @@ class TestDynamicSwitch:
 
     def test_validation(self):
         with pytest.raises(ContractViolation):
-            run_dynamic_switch(0.0, 18.0, 6.0, SRC, DET, rng=0)
+            SwitchPlan(0.0, 18.0, 6.0)
 
     @pytest.mark.parametrize("duration_s, bin_seconds, rep_rate", [
         (1.0, 0.3, 150e3),  # 3.33 bins
         (0.001, 1e-5, 150e3),  # 1.5 pulses per bin
     ])
     def test_fractional_bins_or_pulses_rejected(self, duration_s, bin_seconds, rep_rate):
-        with pytest.raises(ContractViolation, match="whole numbers"):
-            run_dynamic_switch(duration_s, 1.0, 0.5, SourceConfig(rep_rate=rep_rate), DET, rng=0, bin_seconds=bin_seconds)
+        with pytest.raises(ContractViolation, match="whole number"):
+            SwitchPlan(duration_s, 1.0, 0.5, bin_seconds).pulses(SourceConfig(rep_rate=rep_rate))
 
     @pytest.mark.parametrize("duration_s, bin_seconds, rep_rate, bins, per_bin", [
         (0.009, 0.001, 1e5, 9, 100),  # int(duration * rep_rate) would sample 899 pulses
@@ -376,15 +382,14 @@ class TestDynamicSwitch:
     ])
     def test_every_bin_holds_pulses_per_bin(self, duration_s, bin_seconds, rep_rate, bins, per_bin):
         # with dark_prob 1 every pulse clicks at both detectors, so each bin counts its pulses
-        trace = run_dynamic_switch(duration_s, 0.01, 0.004, SourceConfig(rep_rate=rep_rate),
-                                   DetectorConfig(dark_prob=1.0), rng=1, bin_seconds=bin_seconds)
+        trace = run_dynamic_switch(SwitchPlan(duration_s, 0.01, 0.004, bin_seconds), SourceConfig(rep_rate=rep_rate),
+                                   DetectorConfig(dark_prob=1.0), seed=1)
         assert trace.pulses_per_bin == per_bin and trace.t.size == bins
         assert np.all(trace.n1 == per_bin) and np.all(trace.n2 == per_bin)
         assert trace.t[-1] < duration_s
 
     def test_deterministic_for_seed(self):
-        a = run_dynamic_switch(10.0, 5.0, 2.0, SRC, DET, rng=8, bin_seconds=0.5)
-        b = run_dynamic_switch(10.0, 5.0, 2.0, SRC, DET, rng=8, bin_seconds=0.5)
+        a, b = (run_dynamic_switch(SwitchPlan(10.0, 5.0, 2.0, 0.5), SRC, DET, seed=8) for _ in range(2))
         assert np.array_equal(a.n1, b.n1) and np.array_equal(a.n2, b.n2)
 
 
