@@ -7,7 +7,8 @@ every produced point).
 
 Artifacts are written with pinned formats so goldens diff exactly: CSV with a
 header row, LF line endings, '.' decimal separator, floats serialized with
-shortest round-trip precision (``repr``), whole values as integers;
+shortest round-trip precision (``repr``), whole values as integers, each
+distinct value of a table formatted once (the bytes of formatting every cell);
 report.json mirrors every CSV quantity plus provenance (seed, config hash).
 
 Exit codes: 0 success; 1 bad configuration, or count data too degenerate to
@@ -55,6 +56,7 @@ EXIT_IO = 3
 
 DEFAULT_PHI_S = tuple(float(x) for x in np.linspace(0.0, math.pi / 2.0, 9))
 DEFAULT_SEED = 2
+FRINGE_BLOCK_CELLS = 2**16  # fringes.csv cells formatted at once: bounds the text held in memory
 
 _PI_LITERAL = re.compile(r"^\s*(-?\d*\.?\d*)\s*\*?\s*pi\s*(?:/\s*(\d+\.?\d*))?\s*$", re.IGNORECASE)
 
@@ -192,8 +194,17 @@ def config_hash(cfg: ExperimentConfig) -> str:
 
 
 def _column(values) -> list:
-    """CSV fields of a float column: whole values as integers, the rest as shortest round-trip ``repr``."""
-    return [str(int(v)) if v.is_integer() else repr(v) for v in np.asarray(values, dtype=np.float64).tolist()]
+    """CSV fields of float values of any shape, in C order: whole values as integers, the rest as ``repr``."""
+    # Each distinct value is formatted once; np.unique merges only NaNs, and -0.0 with 0.0, which print alike.
+    distinct, inverse = np.unique(np.asarray(values, dtype=np.float64).ravel(), return_inverse=True)
+    fields = np.array([str(int(v)) if v.is_integer() else repr(v) for v in distinct.tolist()], dtype=object)
+    return fields[inverse].tolist()
+
+
+def _columns(table: np.ndarray) -> list:
+    """Field columns of a 2-D float array holding one row per column, formatted in one ``_column`` call."""
+    fields, n = _column(table), table.shape[1]
+    return [fields[i * n:(i + 1) * n] for i in range(len(table))]
 
 
 def _write_csv(path: Path, header: str, blocks) -> None:
@@ -201,7 +212,8 @@ def _write_csv(path: Path, header: str, blocks) -> None:
     with open(path, "w", newline="\n") as fh:
         fh.write(header + "\n")
         for columns in blocks:
-            fh.writelines(",".join(row) + "\n" for row in zip(*columns))
+            rows = list(map(",".join, zip(*columns)))
+            fh.write("\n".join(rows) + "\n" if rows else "")
 
 
 def _write_json(path: Path, obj) -> None:
@@ -209,12 +221,13 @@ def _write_json(path: Path, obj) -> None:
 
 
 def _fringe_blocks(scans):
-    """One block of fringes.csv columns per scan, formatted as the writer reaches it."""
+    """fringes.csv columns, a block of whole scans (up to FRINGE_BLOCK_CELLS cells) as the writer reaches it."""
     phi_x = _column(scans[0].phi_x)  # every scan of a sweep shares its plan's phi_x grid
-    n = len(phi_x)
-    for scan in scans:
-        yield [_column([scan.phi_s]) * n, phi_x, [scan.block] * n, _column(scan.n1), _column(scan.n2),
-               [str(scan.pulses_per_point)] * n]
+    per_block = max(1, FRINGE_BLOCK_CELLS // len(phi_x))
+    for group in (scans[i:i + per_block] for i in range(0, len(scans), per_block)):
+        n1, n2 = _columns(np.array([[s.n1 for s in group], [s.n2 for s in group]]).reshape(2, -1))
+        yield [[f for f in _column([s.phi_s for s in group]) for _ in phi_x], phi_x * len(group),
+               [s.block for s in group for _ in phi_x], n1, n2, [str(s.pulses_per_point) for s in group for _ in phi_x]]
 
 
 DUALITY_HEADER = (
@@ -226,20 +239,16 @@ DUALITY_HEADER = (
 
 
 def _duality_columns(reports) -> list:
-    rows = []
-    for r in reports:
-        f, d = r.formula, r.definition
-        rows.append([
-            r.phi_s,
-            r.visibility.value, r.visibility.sigma,
-            r.distinguishability.value, r.distinguishability.sigma,
-            f.quantities.h_min_z, f.quantities.h_max_w, f.quantities.eur_sum,
-            d.quantities.h_min_z, d.quantities.h_max_w, d.quantities.eur_sum,
-            f.quantities.wpdr_value,
-            f.h_min_sigma, f.h_max_sigma, f.eur_sigma,
-            d.h_min_sigma, d.h_max_sigma, d.eur_sigma,
-        ])
-    return [_column(col) for col in np.array(rows, ndmin=2).T]
+    rows = [[r.phi_s,
+             r.visibility.value, r.visibility.sigma,
+             r.distinguishability.value, r.distinguishability.sigma,
+             f.quantities.h_min_z, f.quantities.h_max_w, f.quantities.eur_sum,
+             d.quantities.h_min_z, d.quantities.h_max_w, d.quantities.eur_sum,
+             f.quantities.wpdr_value,
+             f.h_min_sigma, f.h_max_sigma, f.eur_sigma,
+             d.h_min_sigma, d.h_max_sigma, d.eur_sigma]
+            for r in reports for f, d in [(r.formula, r.definition)]]
+    return _columns(np.array(rows, ndmin=2).T)
 
 
 def _report_dict(r: DualityReport) -> dict:
@@ -304,7 +313,7 @@ def run(cfg: ExperimentConfig) -> int:
         if cfg.scenario == "switch":
             trace = run_dynamic_switch(cfg.switch, cfg.source, cfg.detector, cfg.plan.seed,
                                        coherence=cfg.plan.resolved_coherence(cfg.mode))
-            columns = [_column(x) for x in (trace.t, trace.phi_s, trace.phi_x, trace.n1, trace.n2)]
+            columns = _columns(np.array([trace.t, trace.phi_s, trace.phi_x, trace.n1, trace.n2]))
             _write_csv(out / "timeseries.csv", "t,phi_s,phi_x,n1,n2", [columns])
             report = dict(provenance, bins=int(trace.t.size), pulses_per_bin=trace.pulses_per_bin)
             _write_json(out / "report.json", report)

@@ -66,7 +66,7 @@ class FringeScan:
 
     def __post_init__(self):
         for name in ("phi_x", "n1", "n2"):
-            arr = np.atleast_1d(np.asarray(getattr(self, name), dtype=np.float64)).copy()
+            arr = np.array(getattr(self, name), dtype=np.float64, ndmin=1)  # always a copy
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
         if self.block not in BLOCKS:
@@ -75,10 +75,10 @@ class FringeScan:
             raise ContractViolation("scan needs at least one point")
         if not (self.phi_x.size == self.n1.size == self.n2.size):
             raise ContractViolation("phi_x, n1, n2 must have equal lengths")
-        if np.any(np.diff(self.phi_x) <= 0):
+        if (np.diff(self.phi_x) <= 0).any():
             raise ContractViolation("phi_x must be strictly increasing")
         for name, arr in (("n1", self.n1), ("n2", self.n2)):
-            if np.any(arr < 0) or not np.all(np.isfinite(arr)):
+            if not ((arr >= 0) & (arr < np.inf)).all():  # NaN fails both
                 raise ContractViolation(f"{name} counts must be finite and nonnegative")
         if self.pulses_per_point < 0:
             raise ContractViolation("pulses_per_point must be nonnegative")

@@ -201,6 +201,9 @@ class SwitchPlan:
         """(bins, pulses_per_bin) of a run at the source's repetition rate, within the pulse cap."""
         if self.duration_s * source.rep_rate > MAX_SWITCH_PULSES:
             raise ContractViolation(f"switch.duration_s * source.rep_rate asks for more than {MAX_SWITCH_PULSES} pulses")
+        for name in ("toggle_period_s", "triangle_period_s"):  # with the pulse cap, t / period <= 1e9 casts to int64
+            if getattr(self, name) < 1.0 / source.rep_rate:
+                raise ContractViolation(f"switch.{name} must be at least one pulse interval, 1 / source.rep_rate")
         # Unequal bins would hold other pulse counts than the reported pulses_per_bin.
         per_bin = self.bin_seconds * source.rep_rate
         if not is_whole(per_bin):

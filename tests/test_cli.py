@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from dualitysim import (
     ConfigError,
@@ -16,6 +17,7 @@ from dualitysim import (
     DualityQuantities,
     EquivalenceReport,
     RouteReport,
+    SourceConfig,
     duality_report,
     run_sweep,
 )
@@ -293,6 +295,18 @@ class TestCsvWriter:
         assert _column(self.VALUES) == [_per_value_fmt(v) for v in self.VALUES]
         assert _column(np.array(self.VALUES)) == [_per_value_fmt(v) for v in self.VALUES]
 
+    # Specials, subnormals and any float; drawn from a small pool per array, so values repeat.
+    FLOATS = st.sampled_from([0.0, -0.0, math.nan, -math.nan, math.inf, -math.inf, 5e-324, -2.2e-308, 1e-310]) | st.floats()
+
+    @settings(max_examples=300, deadline=None, derandomize=True)  # the same examples on every run
+    @given(data=st.data())
+    def test_any_array_matches_per_value_formatter_in_c_order(self, data):
+        pool = data.draw(st.lists(self.FLOATS, min_size=1, max_size=6))
+        shape = data.draw(hnp.array_shapes(min_dims=0, max_dims=3, min_side=0, max_side=5))
+        arr = data.draw(hnp.arrays(np.float64, shape, elements=st.sampled_from(pool)))
+        for values in (arr, arr.T):  # a transposed view is read in its own C order too
+            assert _column(values) == [_per_value_fmt(v) for v in np.ravel(values).tolist()]
+
     def test_zero_rows_write_only_the_header(self, tmp_path):
         for blocks in ([], [[[], []]]):
             _write_csv(tmp_path / "empty.csv", "a,b", blocks)
@@ -382,6 +396,10 @@ UNUSABLE_INPUTS = {
     "switch_fractional_pulses_per_bin": ("switch", {"switch": {"duration_s": 0.001, "bin_seconds": 1e-5}}),
     "phi_x_grid_repeats_floats": ("sweep", {"plan": {"phi_x_grid": [1e20, 1.0000000000000002e20, 32]}}),
     "phi_x_grid_overflows": ("sweep", {"plan": {"phi_x_grid": [-1e308, 1e308, 32]}}),
+    # A period under one pulse interval, 1 / rep_rate (rep_rate 1.5e5), would overflow the segment index.
+    **{f"switch_{name}_{label}": ("switch", {"switch": {name: period}})
+       for name in ("toggle_period_s", "triangle_period_s")
+       for label, period in (("1e-300", 1e-300), ("half_a_pulse", 0.5 / 150e3))},
     "sweep_cells_beyond_cap": ("sweep", {"plan": {"phi_s_values": [0.1] * 33, "phi_x_grid": [0, "2pi", 2**16]}}),
 }
 
@@ -395,6 +413,16 @@ def test_unusable_inputs_exit_1_with_one_line(name, tmp_path, capsys):
     assert code == EXIT_CONFIG
     assert len(err.splitlines()) == 1 and err.startswith("error: ")
     assert "Traceback" not in err
+
+
+def test_switch_period_of_one_pulse_runs(tmp_path, capsys):
+    one_pulse = 1.0 / SourceConfig().rep_rate  # the shortest period SwitchPlan.pulses accepts
+    for name in ("toggle_period_s", "triangle_period_s"):
+        payload = {"scenario": "switch", "switch": {"duration_s": 0.4, "bin_seconds": 0.2, name: one_pulse}}
+        out = tmp_path / name
+        assert main(["switch", "--config", str(write_config(tmp_path, payload)), "--out", str(out)]) == EXIT_OK
+        assert capsys.readouterr().err == ""
+        assert len((out / "timeseries.csv").read_text().splitlines()) == 3
 
 
 def test_output_dir_must_be_a_path_string():

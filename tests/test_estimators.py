@@ -312,16 +312,64 @@ class TestEquivalenceAndReports:
         assert _bits(duality_report(run_sweep(replace(plan, blocks=BLOCKS[::-1])))) == want
 
 
-class TestScanValidation:
-    def test_negative_counts(self):
-        with pytest.raises(ContractViolation):
-            scan(np.full(16, -1.0), np.full(16, 1.0))
+def _scan_fields(**changes):
+    fields = dict(phi_s=0.0, block="none", phi_x=PHI_X_16[:4], n1=np.full(4, 2.0), n2=np.full(4, 3.0),
+                  pulses_per_point=10)
+    return {**fields, **changes}
 
-    def test_non_monotone_phi_x(self):
-        x = PHI_X_16.copy()
-        x[3] = x[2]
-        with pytest.raises(ContractViolation):
-            scan(np.full(16, 1.0), np.full(16, 1.0), phi_x=x)
+
+def _with(name, i, value):
+    arr = _scan_fields()[name].copy()
+    arr[i] = value
+    return {name: arr}
+
+
+# Each fault of FringeScan's contract, in the order the checks run, with its message.
+SCAN_FAULTS = [
+    ("bad_block", {"block": "path2"}, "block must be one of"),
+    ("empty_scan", {"phi_x": [], "n1": [], "n2": []}, "scan needs at least one point"),
+    ("unequal_lengths", {"n2": np.full(3, 3.0)}, "phi_x, n1, n2 must have equal lengths"),
+    ("repeated_phi_x", _with("phi_x", 2, PHI_X_16[1]), "phi_x must be strictly increasing"),
+    ("decreasing_phi_x", {"phi_x": PHI_X_16[:4][::-1]}, "phi_x must be strictly increasing"),
+    *[(f"{name}_{label}", _with(name, 1, value), f"{name} counts must be finite and nonnegative")
+      for name in ("n1", "n2")
+      for label, value in (("negative", -1.0), ("nan", math.nan), ("inf", math.inf), ("minus_inf", -math.inf))],
+    ("negative_pulses", {"pulses_per_point": -1}, "pulses_per_point must be nonnegative"),
+]
+
+
+class TestScanValidation:
+    @pytest.mark.parametrize("changes,message", [f[1:] for f in SCAN_FAULTS], ids=[f[0] for f in SCAN_FAULTS])
+    def test_each_fault_raises_its_message(self, changes, message):
+        with pytest.raises(ContractViolation, match=f"^{message}"):
+            FringeScan(**_scan_fields(**changes))
+
+    def test_checks_run_in_order(self):
+        # Two faults in different fields: the one whose check comes first is reported.
+        pairs = 0
+        for i, (_, first, message) in enumerate(SCAN_FAULTS):
+            for _, later, later_message in SCAN_FAULTS[i + 1:]:
+                if later_message != message and not set(first) & set(later):
+                    pairs += 1
+                    with pytest.raises(ContractViolation, match=f"^{message}"):
+                        FringeScan(**_scan_fields(**later, **first))
+        assert pairs > 40
+
+    def test_stores_read_only_float64_copies(self):
+        phi_x, n1, n2 = PHI_X_16[:4].copy(), np.arange(4, dtype=np.int64), [1, 2, 3, 4]
+        s = FringeScan(0.0, "none", phi_x, n1, n2, 10)
+        for stored in (s.phi_x, s.n1, s.n2):
+            assert stored.dtype == np.float64 and not stored.flags.writeable
+            with pytest.raises(ValueError):
+                stored[0] = 7.0
+        phi_x[0], n1[0] = -1.0, 99
+        assert s.phi_x[0] == 0.0 and s.n1[0] == 0.0
+        assert not np.shares_memory(s.phi_x, phi_x)
+
+    def test_zero_d_inputs_become_one_point(self):
+        s = FringeScan(0.0, "path0", np.float64(0.5), np.array(3.0), 4, 10)
+        assert s.phi_x.shape == s.n1.shape == s.n2.shape == (1,)
+        assert (s.phi_x[0], s.n1[0], s.n2[0]) == (0.5, 3.0, 4.0)
 
 
 class TestFlatnessAndFit:

@@ -24,6 +24,7 @@ from pathlib import Path
 
 import pytest
 
+from dualitysim import cli
 from dualitysim.cli import EXIT_OK, main
 
 REPO = Path(__file__).resolve().parents[1]
@@ -86,6 +87,18 @@ def test_artifact_digests(name, tmp_path, capsys):
     for artifact, want in digests.items():
         got = hashlib.sha256((tmp_path / artifact).read_bytes()).hexdigest()
         assert got == want, f"{name}/{artifact} changed"
+
+
+# Both goldens have 32 phi_x steps: 31 cells is under one scan, and 144 cells make blocks of 4 scans,
+# which divides neither the reference sweep's 27 scans nor verify_ideal's 15.
+@pytest.mark.parametrize("cells", [31, 144])
+@pytest.mark.parametrize("name", ["reference_sweep", "verify_ideal"])
+def test_fringe_block_seams_leave_bytes_unchanged(name, cells, tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(cli, "FRINGE_BLOCK_CELLS", cells)
+    argv, digests = GOLDENS[name]
+    assert main(argv + ["--out", str(tmp_path)]) == EXIT_OK
+    capsys.readouterr()
+    assert hashlib.sha256((tmp_path / "fringes.csv").read_bytes()).hexdigest() == digests["fringes.csv"]
 
 
 @pytest.mark.parametrize("name", sorted(REPORT_DIGESTS))
