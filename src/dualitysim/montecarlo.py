@@ -23,14 +23,18 @@ computes SeedSequence's uint32 hash-mix for every cell of the plan in one
 array pass, seeds PCG64's LCG from the result, and sets one reused
 Generator to each cell's state in turn.  Reusing the Generator is safe
 because the only state its binomial sampler keeps between draws is a setup
-cache keyed on (n, p).  The switch scenario draws from one stream, chunk by
-chunk: every D1 uniform of a chunk, then every D2 uniform of it.  The input
+cache keyed on (n, p).  The switch scenario reads one stream, chunk by
+chunk: every D1 uniform of a chunk, then every D2 uniform of it.  Two
+generators read the stream at those fixed positions, the D1 half on the
+calling thread and the D2 half on a second thread, so the draws and the bytes
+are those of reading the stream in order.  The input
 rules live in the plans: :class:`RunPlan` for a sweep, :class:`SwitchPlan`
 (its caps and whole bins of whole pulses) for a switch run.
 """
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import astuple, dataclass
 
 import numpy as np
@@ -111,6 +115,18 @@ class DetectorConfig:
             raise ContractViolation("dark_prob must lie in [0, 1]")
 
 
+def _check_seed(seed) -> None:
+    """Raise ContractViolation unless the seed is an integer in [0, 2^64), as numpy's SeedSequence takes it."""
+    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or not 0 <= seed < 2**64:
+        raise ContractViolation("seed must be a 64-bit unsigned integer")
+
+
+def _check_coherence(coherence) -> None:
+    """Raise ContractViolation unless the coherence lies in [0, 1] (NaN does not)."""
+    if not 0.0 <= coherence <= 1.0:
+        raise ContractViolation("coherence must lie in [0, 1]")
+
+
 @dataclass(frozen=True)
 class RunPlan:
     """A full sweep: phi_s values, phi_x grid, block settings, statistics, seed.
@@ -157,10 +173,9 @@ class RunPlan:
             raise ContractViolation("blocks must be a non-empty set of distinct settings")
         if len(self.phi_s_values) * len(self.blocks) * int(steps) > MAX_SWEEP_CELLS:
             raise ContractViolation(f"phi_s values x blocks x phi_x steps exceeds {MAX_SWEEP_CELLS} cells")
-        if self.coherence is not None and not 0.0 <= self.coherence <= 1.0:
-            raise ContractViolation("coherence must lie in [0, 1]")
-        if not 0 <= self.seed < 2**64:
-            raise ContractViolation("seed must be a 64-bit unsigned integer")
+        if self.coherence is not None:
+            _check_coherence(self.coherence)
+        _check_seed(self.seed)
 
     @np.errstate(over="ignore", invalid="ignore")  # an overflowing grid is rejected, not warned about
     def phi_x_values(self) -> np.ndarray:
@@ -276,9 +291,8 @@ def _substream_words(seed: int, block_index, phi_s_index, phi_x_index) -> np.nda
     The seed's pool is mixed once with ints, the three spawn-key words as
     uint32 arrays.
     """
+    _check_seed(seed)
     seed = int(seed)
-    if not 0 <= seed < 2**64:
-        raise ContractViolation("seed must be a 64-bit unsigned integer")
     # A seed below 2^64 is at most two 32-bit words, zero-padded to the pool size.
     pool = [_hash(seed >> 32 * i & _U32, _MIX_HASH, i) for i in range(_POOL_SIZE)]
     k = _POOL_SIZE
@@ -399,6 +413,40 @@ def triangle_wave(t: np.ndarray, period: float, amplitude: float = 2.0 * math.pi
     return amplitude * (1.0 - np.abs(2.0 * frac - 1.0))
 
 
+def _screen(rng: np.random.Generator, u: np.ndarray, below: np.ndarray, bound: float) -> np.ndarray:
+    """Fill ``u`` with the generator's next uniforms; the positions of those below ``bound``.
+
+    ``below`` is scratch space the size of ``u`` for the comparison: a
+    temporary allocated on a second thread grows that thread's own heap, and
+    peak memory with it.
+    """
+    rng.random(out=u)
+    return np.flatnonzero(np.less(u, bound, out=below))
+
+
+def _on_second_thread(fn, *args):
+    """Start ``fn(*args)`` on a second thread; the returned call joins it and returns its result or raises its error."""
+    outcome = []
+
+    def work():
+        try:
+            outcome.append((fn(*args), None))
+        except BaseException as exc:  # raised again on the calling thread by join()
+            outcome.append((None, exc))
+
+    thread = threading.Thread(target=work, daemon=True)
+    thread.start()
+
+    def join():
+        thread.join()
+        ((result, exc),) = outcome  # exactly this call's outcome, never a stale or missing one
+        if exc is not None:
+            raise exc
+        return result
+
+    return join
+
+
 def run_dynamic_switch(plan: SwitchPlan, source: SourceConfig, detector: DetectorConfig, seed: int,
                        coherence: float = 1.0) -> SwitchTrace:
     """Continuous phi_x triangle sweep while phi_s toggles between 0 and pi/2.
@@ -406,11 +454,17 @@ def run_dynamic_switch(plan: SwitchPlan, source: SourceConfig, detector: Detecto
     phi_s starts at 0 (which-path segments with flat, balanced rates) and
     flips every ``plan.toggle_period_s`` to pi/2 (full-contrast fringe
     segments).  The run is the bins of whole pulses that
-    :meth:`SwitchPlan.pulses` gives, drawn from the stream seeded by ``seed``.
-    Each chunk of SWITCH_CHUNK_PULSES pulses draws one uniform per pulse for
-    D1, then one per pulse for D2; a pulse clicks at a detector when its
-    uniform lies below that detector's click probability, and clicks are
-    binned into windows of ``plan.bin_seconds``.
+    :meth:`SwitchPlan.pulses` gives, drawn from the stream seeded by ``seed``
+    (in [0, 2^64)) at ``coherence`` (in [0, 1]).  Each chunk of
+    SWITCH_CHUNK_PULSES pulses reads one uniform per pulse for D1, then one
+    per pulse for D2; a pulse clicks at a detector when its uniform lies
+    below that detector's click probability, and clicks are binned into
+    windows of ``plan.bin_seconds``.
+
+    Two generators read the stream at those fixed positions: one fills and
+    screens a chunk's D1 half on the calling thread while the other does the
+    D2 half on a second thread, and each then advances past the other's half.
+    The draws and the counts are those of reading the stream in order.
 
     No click probability exceeds the saturating port's, c(p = 1), so a
     uniform at or above it cannot click.  The phase and click model is
@@ -418,19 +472,31 @@ def run_dynamic_switch(plan: SwitchPlan, source: SourceConfig, detector: Detecto
     fraction c(p = 1), about mu_eff, of them); every draw and every count is
     what evaluating the model on all pulses gives.
     """
+    _check_seed(seed)
+    _check_coherence(coherence)
     n_bins, pulses_per_bin = plan.pulses(source)
-    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
     n_pulses = n_bins * pulses_per_bin
     counts = np.zeros(2 * n_bins, dtype=np.int64)
     # The relative margin keeps the bound above every c even if a vectorised
     # expm1 is not monotone to the last bit; it admits no measurable extra work.
     c_bound = click_probs(1.0, source, detector) * (1.0 + 1e-9)
 
+    # Two readers of the one stream, at the first chunk's D1 half and at its D2 half.
+    d1, d2 = (np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed))) for _ in range(2))
+    d2.bit_generator.advance(min(SWITCH_CHUNK_PULSES, n_pulses))
     buf = np.empty(2 * min(SWITCH_CHUNK_PULSES, n_pulses))  # one buffer for every chunk's uniforms
+    below = np.empty(buf.size, dtype=bool)  # and one for their screen
     for start in range(0, n_pulses, SWITCH_CHUNK_PULSES):
         size = min(SWITCH_CHUNK_PULSES, n_pulses - start)
-        u = rng.random(out=buf[: 2 * size])  # every D1 uniform of the chunk, then every D2 one
-        cand = np.flatnonzero(u < c_bound)
+        u = buf[: 2 * size]  # every D1 uniform of the chunk, then every D2 one
+        join_d2 = _on_second_thread(_screen, d2, u[size:], below[size : 2 * size], c_bound)
+        try:
+            cand_d1 = _screen(d1, u[:size], below[:size], c_bound)
+        finally:
+            cand_d2 = join_d2()
+        d1.bit_generator.advance(size)  # past this chunk's D2 half
+        d2.bit_generator.advance(min(SWITCH_CHUNK_PULSES, n_pulses - start - size))  # past the next chunk's D1 half
+        cand = np.concatenate((cand_d1, cand_d2 + size))
         det, idx = np.divmod(cand, size)
         t = (idx + start + 0.5) / source.rep_rate
         phi_x = triangle_wave(t, plan.triangle_period_s)

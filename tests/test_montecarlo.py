@@ -1,4 +1,5 @@
 import math
+import threading
 
 import numpy as np
 import pytest
@@ -274,6 +275,11 @@ class TestRunSweep:
         assert got.binomial(120_000, 0.0013) == reference.binomial(120_000, 0.0013)
         assert np.array_equal(got.random(3), reference.random(3))
 
+    @pytest.mark.parametrize("seed", [2.7, 2.0, True, -1, 2**64])
+    def test_cell_rng_refuses_non_integer_and_out_of_range_seeds(self, seed):
+        with pytest.raises(ContractViolation, match="seed must be a 64-bit"):
+            cell_rng(seed, 0, 0, 0)
+
     def test_substreams_differ_between_cells(self):
         a = cell_rng(3, 0, 0, 0).integers(0, 2**32, size=4)
         b = cell_rng(3, 0, 0, 1).integers(0, 2**32, size=4)
@@ -304,7 +310,9 @@ def per_pulse_switch(plan, source, detector, seed, coherence):
     return counts
 
 
-# (SWITCH_CHUNK_PULSES, (plan, source, detector, seed, coherence)); the small chunk leaves a ragged last chunk.
+# (SWITCH_CHUNK_PULSES, (plan, source, detector, seed, coherence)); the small chunks leave ragged last chunks,
+# and the chunks of 1 to 3 pulses, on bins of one pulse each, put every stream offset under a count.
+BRIGHT = (SourceConfig(mu=20.0, rep_rate=1e4), DetectorConfig(dark_prob=0.3))
 SWITCH_CASES = {
     "reference": (1_000_000, (SwitchPlan(72.0, 18.0, 6.0, 0.6), SRC, DET, 2, 1.0)),
     "dark_prob_1": (1_000_000, (SwitchPlan(3.0, 1.0, 0.7, 0.2), SRC, DetectorConfig(dark_prob=1.0), 5, 0.967)),
@@ -312,6 +320,9 @@ SWITCH_CASES = {
     "mu_50": (1_000_000, (SwitchPlan(8.1, 2.5, 1.5, 0.3), SourceConfig(mu=50.0), DetectorConfig(dark_prob=1e-4), 7, 1.0)),
     "ragged_chunks": (1_013, (SwitchPlan(2.25, 0.9, 0.45, 0.25), SourceConfig(mu=2.0),
                               DetectorConfig(dark_prob=1e-3), 11, 0.8)),
+    "chunk_1": (1, (SwitchPlan(0.03, 0.01, 0.004, 1e-4), *BRIGHT, 13, 0.9)),  # 300 pulses
+    "chunk_2_ragged": (2, (SwitchPlan(0.0301, 0.01, 0.004, 1e-4), *BRIGHT, 14, 0.9)),  # 301: a last chunk of 1
+    "chunk_3_ragged": (3, (SwitchPlan(0.0302, 0.01, 0.004, 1e-4), *BRIGHT, 15, 0.9)),  # 302: a last chunk of 2
 }
 REFERENCE_SWITCH = SwitchPlan(72.0, 18.0, 6.0, bin_seconds=0.6)
 
@@ -325,6 +336,33 @@ class TestDynamicSwitch:
         counts = per_pulse_switch(*case)
         assert np.array_equal(trace.n1, counts[0]) and np.array_equal(trace.n2, counts[1])
         assert counts.sum() > 0
+
+    @pytest.mark.parametrize("seed, coherence", [
+        (-1, 1.0), (2**64, 1.0), (2**70, 1.0), (1.5, 1.0), (True, 1.0), (0, -0.1), (0, 2.0), (0, math.nan),
+    ])
+    def test_seed_and_coherence_checked(self, seed, coherence):
+        plan = SwitchPlan(1.0, 0.5, 0.25, 0.5)
+        message = "seed must be a 64-bit" if coherence == 1.0 else r"coherence must lie in \[0, 1\]"
+        with pytest.raises(ContractViolation, match=message):
+            run_dynamic_switch(plan, SRC, DET, seed=seed, coherence=coherence)
+
+    @pytest.mark.parametrize("faulty_side", ["D1", "D2"])
+    def test_fault_on_either_thread_surfaces(self, faulty_side, monkeypatch):
+        screen, sides = montecarlo._screen, []
+
+        def faulty(*args):
+            side = "D1" if threading.current_thread() is threading.main_thread() else "D2"
+            sides.append(side)
+            if side == faulty_side:
+                raise FloatingPointError(f"{side} fill failed")
+            return screen(*args)
+
+        monkeypatch.setattr(montecarlo, "_screen", faulty)
+        threads = threading.active_count()
+        with pytest.raises(FloatingPointError, match=f"{faulty_side} fill failed"):
+            run_dynamic_switch(SwitchPlan(1.0, 0.5, 0.25, 0.5), SRC, DET, seed=1)
+        assert sorted(sides) == ["D1", "D2"]  # one chunk, one screen per half
+        assert threading.active_count() == threads  # the second thread was joined
 
     def test_triangle_wave_shape(self):
         t = np.array([0.0, 1.5, 3.0, 4.5, 6.0])
