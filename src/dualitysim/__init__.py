@@ -11,7 +11,6 @@ sampled count data.
 from .entropy import (
     DualityQuantities,
     GuessingInput,
-    duality_from_v_d,
     eur_check,
     h_max,
     h_max_binary,
@@ -34,11 +33,6 @@ from .estimators import (
     FringeScan,
     RouteReport,
     duality_report,
-    equivalence_report,
-    estimate_distinguishability,
-    estimate_visibility,
-    eur_definition_route,
-    eur_formula_route,
     fit_fringe,
     flatness_check,
 )

@@ -190,11 +190,6 @@ def duality_columns(v, d) -> dict:
                 eur_satisfied=eur_ok, wpdr_satisfied=wpdr_ok)
 
 
-def duality_from_v_d(v: float, d: float) -> DualityQuantities:
-    """Evaluate both binary closed forms and both bound predicates for one measured (V, D)."""
-    return DualityQuantities(**{name: np.asarray(x).item() for name, x in duality_columns(v, d).items()})
-
-
 def _check_unit_range(name: str, x: np.ndarray) -> None:
     # one pass: NaN fails both comparisons, and +-inf fails one
     if not np.all((x >= -ATOL_ALGEBRAIC) & (x <= 1.0 + ATOL_ALGEBRAIC)):

@@ -25,12 +25,9 @@ entropies.
 The scorecard is one array pass.  :func:`duality_report` takes a sweep's
 scans as they come, groups them by block label, stacks each group into rows
 and computes the grid extrema, V, D, both routes, their sigmas and the route
-equivalence for all rows at once; the per-setting functions
-(:func:`estimate_visibility`, :func:`estimate_distinguishability`,
-:func:`eur_formula_route`, :func:`eur_definition_route`,
-:func:`equivalence_report`) are one-row calls of the same stages.  Each stage
-reports its failed checks per row instead of raising, so a batch raises the
-error of its first failing setting, as a loop over the settings would.
+equivalence for all rows at once.  Each stage reports its failed checks per
+row instead of raising, so a batch raises the error of its first failing
+setting, as a loop over the settings would.
 """
 from __future__ import annotations
 
@@ -158,7 +155,6 @@ class _Rows:
         if len({s.phi_x.size for s in scans}) > 1:
             raise ContractViolation("scans evaluated together must have the same number of phi_x points")
         self.phi_s = np.array([s.phi_s for s in scans], dtype=np.float64)
-        self.block = np.array([s.block for s in scans])
         self.phi_x, self.n1, self.n2 = (np.array([getattr(s, name) for s in scans]) for name in ("phi_x", "n1", "n2"))
         self.totals = self.n1 + self.n2
         self.keep = self.totals > 0
@@ -226,7 +222,6 @@ def _visibility(rows: _Rows):
     # A grid too short or too narrow is a caller error; a grid that becomes
     # so only once its zero-count points are dropped is degenerate data.
     return (n_max - n_min) / s, np.sqrt(_ratio_variance(m_max, m_min, s, m_max, m_min)), [
-        (rows.block != BLOCK_NONE, ContractViolation, "visibility requires an open scan (block = none)"),
         (kept == 0, EstimationError, "all points in scan have zero counts"),
         *_grid_checks(x[:, -1] - x[:, 0], np.full(kept.shape, x.shape[-1]), ContractViolation),
         *_grid_checks(_at(x, last) - _at(x, first), kept, EstimationError),
@@ -249,8 +244,6 @@ def _distinguishability(b0: _Rows, b1: _Rows):
     """D = (D_1 + D_2)/2 and its sigma per pair of blocked rows, with the estimate's checks."""
     (d0, var0, empty0), (d1, var1, empty1) = _pooled_bias(b0), _pooled_bias(b1)
     return 0.5 * (d0 + d1), 0.5 * np.sqrt(var0 + var1), [
-        ((b0.block != BLOCK_PATH0) | (b1.block != BLOCK_PATH1), ContractViolation,
-         "expected scans with block = path0 and path1, in that order"),
         (np.abs(b0.phi_s - b1.phi_s) > ATOL_ALGEBRAIC, ContractViolation, "blocked scans must share the same phi_s"),
         (empty0, EstimationError, f"zero total counts in blocked scan ({BLOCK_PATH0})"),
         (empty1, EstimationError, f"zero total counts in blocked scan ({BLOCK_PATH1})"),
@@ -263,7 +256,6 @@ def _fringe_pair(rows: _Rows):
     t_max, t_min = _at(rows.totals, rows.i_max), _at(rows.totals, rows.i_min)
     p_max, p_min = _at(rows.n1, rows.i_max) / t_max, _at(rows.n1, rows.i_min) / t_min
     return (p_max, p_min, t_max, t_min), [
-        (~rows.keep.any(axis=-1), EstimationError, "all points in scan have zero counts"),
         (p_max + p_min <= 0, EstimationError, "zero detector-1 probability at both fringe extrema"),
     ]
 
@@ -301,13 +293,13 @@ def _definition_route(p_max, p_min, t_max, t_min, d, sigma_d) -> dict:
     return _route(quantities, contrast, np.sqrt(var_c), d, sigma_d)
 
 
-def _equivalence(a, b, k) -> dict:
-    """Per-quantity absolute differences between two routes' columns, flagged against k * (sigma_a + sigma_b)."""
+def _equivalence(a, b) -> dict:
+    """Per-quantity absolute differences between two routes' columns, flagged against sigma_a + sigma_b."""
     out = {}
     for name, value, sigma in (("h_min", "h_min_z", "h_min_sigma"), ("h_max", "h_max_w", "h_max_sigma"),
                                ("eur", "eur_sum", "eur_sigma")):
         out[f"d_{name}"] = np.abs(a[value] - b[value])
-        out[f"within_{name}"] = out[f"d_{name}"] <= k * (a[sigma] + b[sigma])
+        out[f"within_{name}"] = out[f"d_{name}"] <= a[sigma] + b[sigma]
     return out
 
 
@@ -328,86 +320,13 @@ def _estimates(value, sigma) -> list:
     return _objects(EstimateWithError, {"value": value, "sigma": sigma})
 
 
-def _one_row(stage, *scans) -> list:
-    """The values of an array stage run on one row per scan argument, after raising its first failed check."""
-    *values, checks = stage(*(_Rows([scan]) for scan in scans))
-    _raise_first(checks)
-    return values
-
-
-def estimate_visibility(scan: FringeScan) -> EstimateWithError:
-    """Fringe visibility (N_max - N_min)/(N_max + N_min) from the grid extrema.
-
-    The extrema are located on the per-point probabilities n1/(n1+n2) and the
-    estimate uses the detector-1 counts at those two points.  The error bar
-    propagates their Poisson variances (var N = N) through the ratio.
-    """
-    return _estimates(*_one_row(_visibility, scan))[0]
-
-
-def estimate_distinguishability(scan_blocked_0: FringeScan, scan_blocked_1: FringeScan) -> EstimateWithError:
-    """Distinguishability (D_1 + D_2)/2 averaged over the two blocked scans.
-
-    Each single-blocked bias |p1 - p2|/(p1 + p2) is phi_x-independent, so the
-    counts are pooled over the full sweep before taking the ratio; pooling
-    makes the estimate insensitive to whether raw or conditioned counts came
-    in.
-    """
-    return _estimates(*_one_row(_distinguishability, scan_blocked_0, scan_blocked_1))[0]
-
-
-def eur_formula_route(
-    visibility: EstimateWithError,
-    distinguishability: EstimateWithError,
-    dropped_points: int = 0,
-) -> RouteReport:
-    """Closed-form route: entropies from the V and D estimates.
-
-    Estimates outside [0, 1] are clamped before entering the closed forms and
-    flagged in the report; sigmas are first-order propagations through the
-    two closed forms.
-    """
-    estimates = (visibility.value, visibility.sigma, distinguishability.value, distinguishability.sigma)
-    columns = _formula_route(*(np.array([x], dtype=np.float64) for x in estimates))
-    return _route_reports(FORMULA_ROUTE, columns, dropped_points=dropped_points)[0]
-
-
-def eur_definition_route(
-    scan_open: FringeScan,
-    distinguishability: EstimateWithError,
-    dropped_points: int = 0,
-) -> RouteReport:
-    """Definition route: entropies evaluated on measured distributions.
-
-    Particle side: the min-entropy definition is applied to the bias
-    distribution ((1 + D)/2, (1 - D)/2) of the pooled distinguishability
-    estimate D (see :func:`estimate_distinguishability`).
-
-    Wave side: the max-entropy definition is applied to the detector-1
-    per-point probabilities at the two fringe-extremal phi_x points,
-    renormalized into a binary distribution.  On scans whose per-point pairs
-    are already normalized this reproduces the formula route exactly.
-    """
-    if scan_open.block != BLOCK_NONE:
-        raise ContractViolation("definition route needs an open scan first")
-    [pair] = _one_row(_fringe_pair, scan_open)
-    d = (np.array([x], dtype=np.float64) for x in (distinguishability.value, distinguishability.sigma))
-    return _route_reports(DEFINITION_ROUTE, _definition_route(*pair, *d), dropped_points=dropped_points)[0]
-
-
-def equivalence_report(route_a: RouteReport, route_b: RouteReport, k: float = 1.0) -> EquivalenceReport:
-    """Absolute per-quantity differences, flagged against k * (sigma_a + sigma_b)."""
-    columns = _equivalence(*({**vars(r.quantities), **vars(r)} for r in (route_a, route_b)), k)
-    return EquivalenceReport(**{name: x.item() for name, x in columns.items()}, k=k)
-
-
-def duality_report(scans, k: float = 1.0) -> list:
+def duality_report(scans) -> list:
     """Full dual-route scorecards for many phi_s settings at once, one DualityReport per setting.
 
     ``scans`` come as :func:`run_sweep` returns them, blocks in any interleaving:
     the i-th open, path0 and path1 scans are the i-th setting, and the scans of
     one block share one phi_x length.  Where a setting cannot be estimated, the
-    error raised is the one the per-setting estimators raise for the first one.
+    error raised is the first one a loop over the settings would meet.
     """
     groups = {block: [] for block in BLOCKS}
     for scan in scans:
@@ -432,7 +351,7 @@ def duality_report(scans, k: float = 1.0) -> list:
         "distinguishability": _estimates(d, sigma_d),
         "formula": _route_reports(FORMULA_ROUTE, formula),
         "definition": _route_reports(DEFINITION_ROUTE, definition),
-        "equivalence": _objects(EquivalenceReport, _equivalence(formula, definition, k), k=k),
+        "equivalence": _objects(EquivalenceReport, _equivalence(formula, definition)),
     })
 
 

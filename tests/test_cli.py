@@ -1,4 +1,5 @@
 import contextlib
+import csv
 import io
 import json
 import math
@@ -213,17 +214,20 @@ class TestRunArtifacts:
     @staticmethod
     def _unphysical(phi_s, v=1.0, d=1.0):
         """A forced scorecard outside both bounds: V = v and D = d with zero sigma."""
-        from dualitysim import EstimateWithError
-        from dualitysim.estimators import DualityReport, equivalence_report, eur_formula_route
+        from dualitysim import DualityReport, EstimateWithError
+        from dualitysim.entropy import duality_columns
 
-        broken = eur_formula_route(EstimateWithError(v, 0.0), EstimateWithError(d, 0.0))
+        q = DualityQuantities(**{name: np.asarray(x).item() for name, x in duality_columns(v, d).items()})
+        broken = RouteReport(route="formula", quantities=q, h_min_sigma=0.0, h_max_sigma=0.0, eur_sigma=0.0,
+                             wpdr_sigma=0.0)
         return DualityReport(
             phi_s=phi_s,
             visibility=EstimateWithError(v, 0.0),
             distinguishability=EstimateWithError(d, 0.0),
             formula=broken,
             definition=broken,
-            equivalence=equivalence_report(broken, broken),
+            equivalence=EquivalenceReport(d_h_min=0.0, d_h_max=0.0, d_eur=0.0, within_h_min=True,
+                                          within_h_max=True, within_eur=True),
         )
 
     def test_violation_exit_code(self, tmp_path, monkeypatch):
@@ -516,3 +520,27 @@ def test_any_config_file_bytes_exit_0_1_or_2_with_one_error_line(case, tmp_path_
     assert code in (EXIT_OK, EXIT_CONFIG, EXIT_VIOLATION)
     if code == EXIT_CONFIG:
         assert len(err.getvalue().splitlines()) == 1 and err.getvalue().startswith("error: ")
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_random_ideal_eur_verify_saturates_and_repeats(seed, tmp_path):
+    # 33 sorted phi_s uniform in [0, pi/2] on a 32-step grid: noiseless counts
+    # at coherence 1 sit on both bounds, and a second run in the same process
+    # writes the same CSV bytes
+    phi_s = sorted(np.random.default_rng(seed).uniform(0.0, math.pi / 2, 33).tolist())
+    cfg_path = write_config(tmp_path, {"scenario": "eur-verify", "mode": "ideal", "plan": {
+        "phi_s_values": phi_s, "phi_x_grid": [0.0, 2.0 * math.pi, 32], "pulses_per_point": 120_000,
+        "coherence": 1.0}})
+    runs = [tmp_path / "a", tmp_path / "b"]
+    for out in runs:
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main(["eur-verify", "--config", str(cfg_path), "--out", str(out)]) == EXIT_OK
+    rows = list(csv.DictReader(io.StringIO((runs[0] / "duality.csv").read_text())))
+    assert len(rows) == len(phi_s)
+    for row in rows:
+        for column in ("eur_formula", "eur_defn", "wpdr"):
+            assert abs(float(row[column]) - 1.0) <= 1e-9, (row["phi_s"], column, row[column])
+    first, second = (sorted(out.glob("*.csv")) for out in runs)
+    assert [p.name for p in first] == [p.name for p in second] and first
+    for a, b in zip(first, second):
+        assert a.read_bytes() == b.read_bytes(), a.name

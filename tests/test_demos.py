@@ -1,5 +1,8 @@
-"""Each demo script runs to completion (without --plot, so no matplotlib)."""
+"""Each demo script, and the README quick start, runs to completion (without --plot, so no matplotlib)."""
+import os
+import re
 import runpy
+import subprocess
 import sys
 from pathlib import Path
 
@@ -13,3 +16,12 @@ def test_demo_runs(script, monkeypatch, capsys):
     monkeypatch.setattr(sys, "argv", [str(script)])
     runpy.run_path(str(script), run_name="__main__")
     assert capsys.readouterr().out
+
+
+def test_readme_quick_start_runs():
+    root = Path(__file__).resolve().parents[1]
+    [block] = re.findall(r"^```python\n(.*?)^```$", (root / "README.md").read_text(), re.M | re.S)
+    env = {**os.environ, "PYTHONPATH": str(root / "src")}
+    done = subprocess.run([sys.executable, "-c", block], env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout

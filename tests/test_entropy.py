@@ -9,7 +9,6 @@ from dualitysim import (
     GuessingInput,
     ProbDist,
     distinguishability_from_guessing,
-    duality_from_v_d,
     eur_check,
     h_max,
     h_max_binary,
@@ -21,6 +20,7 @@ from dualitysim import (
     visibility_from_guessing,
     wpdr_check,
 )
+from dualitysim.entropy import duality_columns
 
 
 def dist(*probs):
@@ -230,7 +230,8 @@ class TestGuessingGames:
 
 class TestDualityQuantities:
     def test_scorecard_construction(self):
-        q = duality_from_v_d(math.sin(0.6), math.cos(0.6))
+        columns = duality_columns(math.sin(0.6), math.cos(0.6))
+        q = DualityQuantities(**{name: np.asarray(x).item() for name, x in columns.items()})
         assert q.eur_satisfied and q.wpdr_satisfied
         assert abs(q.eur_sum - 1.0) < 1e-12
 

@@ -20,11 +20,6 @@ from dualitysim import (
     RouteReport,
     RunPlan,
     duality_report,
-    equivalence_report,
-    estimate_distinguishability,
-    estimate_visibility,
-    eur_definition_route,
-    eur_formula_route,
     fit_fringe,
     h_max,
     h_max_from_visibility,
@@ -32,6 +27,7 @@ from dualitysim import (
     h_min_from_distinguishability,
     run_sweep,
 )
+from dualitysim.entropy import duality_columns
 from dualitysim.estimators import MIN_FRINGE_POINTS, flatness_check
 from dualitysim.tolerances import ATOL_ALGEBRAIC, INEQ_SLACK
 
@@ -56,58 +52,86 @@ def ideal_scans(phi_s, coherence=1.0, steps=32, pulses=120_000):
     return {s.block: s for s in scans}
 
 
+def ideal_report(phi_s, **kwargs):
+    """The scorecard of one noiseless setting."""
+    [rep] = duality_report(ideal_scans(phi_s, **kwargs).values())
+    return rep
+
+
+def score(*scans):
+    """The scorecard of one setting's three scans."""
+    [rep] = duality_report(scans)
+    return rep
+
+
+def with_balanced_blocked(scan_open, n=500.0):
+    """A lone open scan with blocked scans of D = 0 on its grid and at its phi_s."""
+    counts = np.full(scan_open.phi_x.size, n)
+    return score(scan_open, *(scan(counts, counts, phi_s=scan_open.phi_s, block=b, phi_x=scan_open.phi_x)
+                              for b in ("path0", "path1")))
+
+
+def with_ideal_open(b0, b1):
+    """A lone blocked pair with a full-contrast open scan (V = 1) on its grid and at path0's phi_s."""
+    p = 0.5 * (1.0 + np.sin(b0.phi_x))
+    return score(scan(1000.0 * p, 1000.0 * (1.0 - p), phi_s=b0.phi_s, phi_x=b0.phi_x), b0, b1)
+
+
+def low_exposure_peak():
+    """An open scan whose fringe max has fewer detector-1 counts than its min, so V < 0."""
+    n1 = np.full(16, 50.0)
+    n2 = np.full(16, 50.0)
+    n1[4], n2[4] = 9.0, 1.0     # p_hat = 0.9, only 10 clicks
+    n1[12], n2[12] = 100.0, 900.0  # p_hat = 0.1, heavy exposure
+    return scan(n1, n2)
+
+
 class TestVisibility:
     def test_poisson_propagation_example(self):
         # fringe peak 900 counts, trough 100 counts
         n1 = np.full(16, 500.0)
         n1[4], n1[12] = 900.0, 100.0
-        est = estimate_visibility(scan(n1, 1000.0 - n1))
+        est = with_balanced_blocked(scan(n1, 1000.0 - n1)).visibility
         assert est.value == pytest.approx(0.8, abs=1e-12)
         assert est.sigma == pytest.approx(0.018973665961010275, abs=1e-12)
 
     def test_flat_fringe_zero_visibility(self):
-        est = estimate_visibility(scan(np.full(16, 500.0), np.full(16, 500.0)))
+        est = with_balanced_blocked(scan(np.full(16, 500.0), np.full(16, 500.0))).visibility
         assert est.value == pytest.approx(0.0, abs=1e-12)
 
     def test_ideal_model_matches_contrast_law(self):
         # 32-point grid lands exactly on the fringe extrema
         for phi_s in (0.0, math.pi / 8, math.pi / 4, math.pi / 2):
             for gamma in (1.0, 0.967):
-                scans = ideal_scans(phi_s, coherence=gamma)
-                est = estimate_visibility(scans["none"])
+                est = ideal_report(phi_s, coherence=gamma).visibility
                 assert est.value == pytest.approx(gamma * math.sin(phi_s), abs=1e-12)
 
     def test_dense_grid_resolution_bound(self):
         # grid spacing below pi/128 keeps the worst-case peak miss tiny
         steps = 512
-        scans = ideal_scans(1.0, coherence=0.9, steps=steps)
-        est = estimate_visibility(scans["none"])
+        est = ideal_report(1.0, coherence=0.9, steps=steps).visibility
         spacing = 2.0 * math.pi / steps
         bound = 0.9 * math.sin(1.0) * (spacing / 2.0) ** 2 / 2.0 + 1e-12
         assert abs(est.value - 0.9 * math.sin(1.0)) <= bound
 
-    def test_requires_open_scan(self):
-        with pytest.raises(ContractViolation):
-            estimate_visibility(scan(np.full(16, 1.0), np.full(16, 1.0), block="path0"))
-
     def test_requires_enough_points(self):
-        with pytest.raises(ContractViolation):
-            estimate_visibility(scan(np.full(4, 1.0), np.full(4, 1.0), phi_x=PHI_X_16[:4]))
+        with pytest.raises(ContractViolation, match="need at least"):
+            with_balanced_blocked(scan(np.full(4, 1.0), np.full(4, 1.0), phi_x=PHI_X_16[:4]))
 
     def test_requires_full_period(self):
         x = np.linspace(0.0, math.pi, 16)  # half a fringe period
-        with pytest.raises(ContractViolation):
-            estimate_visibility(scan(np.full(16, 1.0), np.full(16, 1.0), phi_x=x))
+        with pytest.raises(ContractViolation, match="less than one fringe period"):
+            with_balanced_blocked(scan(np.full(16, 1.0), np.full(16, 1.0), phi_x=x))
 
     def test_all_zero_counts(self):
-        with pytest.raises(EstimationError):
-            estimate_visibility(scan(np.zeros(16), np.zeros(16)))
+        with pytest.raises(EstimationError, match="all points in scan have zero counts"):
+            with_balanced_blocked(scan(np.zeros(16), np.zeros(16)))
 
     def test_empty_points_dropped(self):
         n1 = np.full(16, 500.0)
         n2 = np.full(16, 500.0)
         n1[3] = n2[3] = 0.0  # dead point must not poison the estimate
-        est = estimate_visibility(scan(n1, n2))
+        est = with_balanced_blocked(scan(n1, n2)).visibility
         assert est.value == pytest.approx(0.0, abs=1e-12)
 
 
@@ -115,7 +139,7 @@ class TestDistinguishability:
     def test_mirror_mode(self):
         b0 = scan(np.full(16, 1000.0), np.zeros(16), block="path0")
         b1 = scan(np.zeros(16), np.full(16, 1000.0), block="path1")
-        est = estimate_distinguishability(b0, b1)
+        est = with_ideal_open(b0, b1).distinguishability
         assert est.value == pytest.approx(1.0, abs=1e-12)
         # boundary estimate carries the one-count floor, not zero sigma
         assert 0.0 < est.sigma < 1e-3
@@ -123,88 +147,73 @@ class TestDistinguishability:
     def test_balanced_mode(self):
         b0 = scan(np.full(16, 500.0), np.full(16, 500.0), block="path0")
         b1 = scan(np.full(16, 500.0), np.full(16, 500.0), block="path1")
-        assert estimate_distinguishability(b0, b1).value == pytest.approx(0.0, abs=1e-12)
+        assert with_ideal_open(b0, b1).distinguishability.value == pytest.approx(0.0, abs=1e-12)
 
     def test_ideal_intermediate_setting(self):
-        scans = ideal_scans(math.pi / 3)
-        est = estimate_distinguishability(scans["path0"], scans["path1"])
+        est = ideal_report(math.pi / 3).distinguishability
         assert est.value == pytest.approx(0.5, abs=1e-12)
-
-    def test_block_order_enforced(self):
-        b0 = scan(np.full(16, 1.0), np.zeros(16), block="path0")
-        b1 = scan(np.zeros(16), np.full(16, 1.0), block="path1")
-        with pytest.raises(ContractViolation):
-            estimate_distinguishability(b1, b0)
 
     def test_phi_s_mismatch(self):
         b0 = scan(np.full(16, 1.0), np.zeros(16), block="path0", phi_s=0.1)
         b1 = scan(np.zeros(16), np.full(16, 1.0), block="path1", phi_s=0.2)
-        with pytest.raises(ContractViolation):
-            estimate_distinguishability(b0, b1)
+        with pytest.raises(ContractViolation, match="blocked scans must share the same phi_s"):
+            with_ideal_open(b0, b1)
 
     def test_zero_counts(self):
         b0 = scan(np.zeros(16), np.zeros(16), block="path0")
         b1 = scan(np.zeros(16), np.full(16, 1.0), block="path1")
-        with pytest.raises(EstimationError):
-            estimate_distinguishability(b0, b1)
+        with pytest.raises(EstimationError, match=r"zero total counts in blocked scan \(path0\)"):
+            with_ideal_open(b0, b1)
 
 
 class TestFormulaRoute:
     def test_extreme_inputs(self):
-        report = eur_formula_route(EstimateWithError(1.0, 0.0), EstimateWithError(0.0, 0.0))
+        # full contrast (detector 1 dark at the fringe minimum), balanced blocked scans: V = 1, D = 0
+        p = 0.5 * (1.0 + np.sin(PHI_X_16))
+        report = with_balanced_blocked(scan(1000.0 * p, 1000.0 * (1.0 - p))).formula
+        assert (report.quantities.v, report.quantities.d) == (1.0, 0.0)
         assert report.quantities.eur_sum == pytest.approx(1.0, abs=1e-12)
         assert report.quantities.eur_satisfied
 
     def test_saturated_pair(self):
-        report = eur_formula_route(
-            EstimateWithError(math.sin(math.pi / 4), 0.0),
-            EstimateWithError(math.cos(math.pi / 4), 0.0),
-        )
-        assert report.quantities.eur_sum == pytest.approx(1.0, abs=1e-12)
+        q = duality_columns(math.sin(math.pi / 4), math.cos(math.pi / 4))
+        assert q["eur_sum"] == pytest.approx(1.0, abs=1e-12)
 
     def test_high_visibility_point(self):
-        report = eur_formula_route(EstimateWithError(0.967, 0.0), EstimateWithError(0.0, 0.0))
-        assert report.quantities.eur_sum == pytest.approx(1.3274302685677908, abs=1e-12)
+        q = duality_columns(0.967, 0.0)
+        assert q["eur_sum"] == pytest.approx(1.3274302685677908, abs=1e-12)
 
     def test_clamping_flagged(self):
-        report = eur_formula_route(EstimateWithError(-0.05, 0.01), EstimateWithError(0.5, 0.01))
+        # V < 0 from the counts, D = 0.5 from blocked scans with 3:1 pooled counts
+        b0 = scan(np.full(16, 75.0), np.full(16, 25.0), block="path0")
+        b1 = scan(np.full(16, 25.0), np.full(16, 75.0), block="path1")
+        report = score(low_exposure_peak(), b0, b1).formula
         assert report.clamped_v and not report.clamped_d
-        assert report.quantities.v == 0.0
+        assert report.quantities.v == 0.0 and report.quantities.d == 0.5
 
     def test_visibility_clamp_reachable_from_counts(self):
         # a low-exposure peak can put fewer detector-1 counts at the fringe
         # max than at the min; the route must clamp, not crash
-        n1 = np.full(16, 50.0)
-        n2 = np.full(16, 50.0)
-        n1[4], n2[4] = 9.0, 1.0     # p_hat = 0.9, only 10 clicks
-        n1[12], n2[12] = 100.0, 900.0  # p_hat = 0.1, heavy exposure
-        est = estimate_visibility(scan(n1, n2))
-        assert est.value < 0.0
-        report = eur_formula_route(est, EstimateWithError(0.5, 0.01))
-        assert report.clamped_v
+        rep = with_balanced_blocked(low_exposure_peak())
+        assert rep.visibility.value < 0.0
+        assert rep.formula.clamped_v
 
 
 class TestDefinitionRoute:
     def test_ideal_matches_formula_route(self):
         for phi_s in (0.0, math.pi / 8, math.pi / 4, math.pi / 2):
-            scans = ideal_scans(phi_s)
-            defn = eur_definition_route(scans["none"], estimate_distinguishability(scans["path0"], scans["path1"]))
-            formula = eur_formula_route(
-                estimate_visibility(scans["none"]),
-                estimate_distinguishability(scans["path0"], scans["path1"]),
-            )
+            rep = ideal_report(phi_s)
+            defn, formula = rep.definition, rep.formula
             assert defn.quantities.h_min_z == pytest.approx(formula.quantities.h_min_z, abs=1e-12)
             assert defn.quantities.h_max_w == pytest.approx(formula.quantities.h_max_w, abs=1e-12)
 
     def test_mirror_setting(self):
-        scans = ideal_scans(0.0)
-        defn = eur_definition_route(scans["none"], estimate_distinguishability(scans["path0"], scans["path1"]))
+        defn = ideal_report(0.0).definition
         assert defn.quantities.h_min_z == pytest.approx(0.0, abs=1e-12)
         assert defn.quantities.h_max_w == pytest.approx(1.0, abs=1e-12)
 
     def test_balanced_setting(self):
-        scans = ideal_scans(math.pi / 2, coherence=1.0)
-        defn = eur_definition_route(scans["none"], estimate_distinguishability(scans["path0"], scans["path1"]))
+        defn = ideal_report(math.pi / 2, coherence=1.0).definition
         assert defn.quantities.h_min_z == pytest.approx(1.0, abs=1e-12)
         assert defn.quantities.h_max_w == pytest.approx(0.0, abs=1e-12)
 
@@ -221,25 +230,13 @@ class TestDefinitionRoute:
             s_open = scan(raw_open[0] / t_open, raw_open[1] / t_open, phi_s=phi_s)
             s_b0 = scan(raw_b0[0] / t_b0, raw_b0[1] / t_b0, phi_s=phi_s, block="path0")
             s_b1 = scan(raw_b1[0] / t_b1, raw_b1[1] / t_b1, phi_s=phi_s, block="path1")
-            defn = eur_definition_route(s_open, estimate_distinguishability(s_b0, s_b1))
-            formula = eur_formula_route(
-                estimate_visibility(s_open), estimate_distinguishability(s_b0, s_b1)
-            )
+            rep = score(s_open, s_b0, s_b1)
+            defn, formula = rep.definition, rep.formula
             assert abs(defn.quantities.h_min_z - formula.quantities.h_min_z) < 1e-12
             assert abs(defn.quantities.h_max_w - formula.quantities.h_max_w) < 1e-12
 
 
 class TestEquivalenceAndReports:
-    def test_identical_routes_zero_diff(self):
-        scans = ideal_scans(math.pi / 8)
-        r = eur_formula_route(
-            estimate_visibility(scans["none"]),
-            estimate_distinguishability(scans["path0"], scans["path1"]),
-        )
-        eq = equivalence_report(r, r)
-        assert eq.d_h_min == 0.0 and eq.d_h_max == 0.0 and eq.d_eur == 0.0
-        assert eq.within_h_min and eq.within_h_max and eq.within_eur
-
     def test_ideal_diffs_vanish_for_any_phi_s(self):
         plan = RunPlan(phi_s_values=tuple(np.linspace(0.0, math.pi / 2, 9)), coherence=1.0, seed=0)
         reports = duality_report(run_sweep(plan, mode="ideal"))
@@ -258,20 +255,19 @@ class TestEquivalenceAndReports:
             plan = RunPlan(
                 phi_s_values=(math.pi / 4,), pulses_per_point=100_000, seed=seed
             )
-            [rep] = duality_report(run_sweep(plan), k=3.0)
-            eq = rep.equivalence
-            hits += eq.within_h_min and eq.within_h_max and eq.within_eur
+            [rep] = duality_report(run_sweep(plan))
+            eq, f, d = rep.equivalence, rep.formula, rep.definition
+            hits += (eq.d_h_min <= 3.0 * (f.h_min_sigma + d.h_min_sigma)
+                     and eq.d_h_max <= 3.0 * (f.h_max_sigma + d.h_max_sigma)
+                     and eq.d_eur <= 3.0 * (f.eur_sigma + d.eur_sigma))
         assert hits >= 0.99 * len(seeds)
 
     def test_sigma_scaling_with_counts(self):
         plan = RunPlan(phi_s_values=(math.pi / 8,), pulses_per_point=200_000, seed=3)
-        small = {s.block: s for s in run_sweep(plan, mode="ideal")}
+        [small] = duality_report(run_sweep(plan, mode="ideal"))
         plan4 = RunPlan(phi_s_values=(math.pi / 8,), pulses_per_point=800_000, seed=3)
-        big = {s.block: s for s in run_sweep(plan4, mode="ideal")}
-        for pick in (
-            lambda sc: estimate_visibility(sc["none"]),
-            lambda sc: estimate_distinguishability(sc["path0"], sc["path1"]),
-        ):
+        [big] = duality_report(run_sweep(plan4, mode="ideal"))
+        for pick in (lambda rep: rep.visibility, lambda rep: rep.distinguishability):
             ratio = pick(small).sigma / pick(big).sigma
             assert abs(ratio - 2.0) < 0.1  # fourfold counts halve sigma within 5%
 
@@ -587,27 +583,12 @@ def _in_block_order(triple):
     return sorted(triple, key=lambda s: BLOCKS.index(s.block))
 
 
-def assert_same_as_reference(triples, k=1.0):
+def assert_same_as_reference(triples):
     """duality_report over all settings, as one flat list, gives what the reference gives setting by setting."""
-    want = _outcome(lambda: [_ref_duality_report(*_in_block_order(t), k=k) for t in triples])
-    got = _outcome(lambda: duality_report([scan for t in triples for scan in t], k=k))
+    want = _outcome(lambda: [_ref_duality_report(*_in_block_order(t)) for t in triples])
+    got = _outcome(lambda: duality_report([scan for t in triples for scan in t]))
     assert _bits(got) == _bits(want)
     assert got == want
-    for scan_open, scan_b0, scan_b1 in triples:  # the per-setting estimators are one-row calls of the same pass
-        for new, ref in ((estimate_visibility, _ref_visibility), (estimate_distinguishability, _ref_distinguishability)):
-            args = (scan_open,) if new is estimate_visibility else (scan_b0, scan_b1)
-            assert _bits(_outcome(lambda: new(*args))) == _bits(_outcome(lambda: ref(*args)))
-        d = _outcome(lambda: _ref_distinguishability(scan_b0, scan_b1))
-        if isinstance(d, EstimateWithError):
-            assert _bits(_outcome(lambda: eur_definition_route(scan_open, d, 2))) == \
-                _bits(_outcome(lambda: _ref_definition_route(scan_open, d, 2)))
-            v = _outcome(lambda: _ref_visibility(scan_open))
-            definition = _outcome(lambda: _ref_definition_route(scan_open, d, 2))
-            if isinstance(v, EstimateWithError) and isinstance(definition, RouteReport):
-                formula = eur_formula_route(v, d, 1)
-                assert _bits(formula) == _bits(_ref_formula_route(v, d, 1))
-                assert _bits(equivalence_report(formula, definition, k)) == \
-                    _bits(_ref_equivalence(formula, definition, k))
     return got
 
 
@@ -675,9 +656,9 @@ def settings_of_one_grid(draw):
 
 class TestArrayPassMatchesReference:
     @settings(max_examples=200, deadline=None, derandomize=True)  # the same examples on every run
-    @given(triples=settings_of_one_grid(), k=st.sampled_from((1.0, 3.0)))
-    def test_every_field_and_error(self, triples, k):
-        assert_same_as_reference(triples, k)
+    @given(triples=settings_of_one_grid())
+    def test_every_field_and_error(self, triples):
+        assert_same_as_reference(triples)
 
     def test_edge_branches(self):
         flat = np.full(32, 50.0)

@@ -1,5 +1,6 @@
 import math
 import threading
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -212,16 +213,19 @@ class TestRunSweep:
     def test_sampled_visibility_tracks_loop_phase(self):
         # mirror setting shows no fringe beyond noise; balanced setting shows
         # full contrast within its error bar
-        from dualitysim import estimate_visibility
+        from dualitysim import duality_report
 
         plan = RunPlan(
-            phi_s_values=(0.0, math.pi / 2), blocks=("none",), coherence=1.0,
-            pulses_per_point=100_000, seed=5,
+            phi_s_values=(0.0, math.pi / 2), coherence=1.0, pulses_per_point=100_000, seed=5,
         )
-        scans = {s.phi_s: s for s in run_sweep(plan, SRC, DET)}
-        flat = estimate_visibility(scans[0.0])
+        scans = run_sweep(plan, SRC, DET)
+        # substreams are keyed by block, not by plan position: the blocked
+        # settings leave the open counts as an open-only plan draws them
+        open_only = run_sweep(replace(plan, blocks=("none",)), SRC, DET)
+        for alone, among in zip(open_only, (s for s in scans if s.block == "none")):
+            assert alone.n1.tobytes() == among.n1.tobytes() and alone.n2.tobytes() == among.n2.tobytes()
+        flat, full = (rep.visibility for rep in duality_report(scans))
         assert flat.value < 3 * flat.sigma
-        full = estimate_visibility(scans[math.pi / 2])
         assert abs(full.value - 1.0) <= 3 * full.sigma
 
     def test_sampled_blocked_scan_is_flat(self):
