@@ -11,7 +11,7 @@ import sys
 
 import numpy as np
 
-from dualitysim import BLOCKS, DetectorConfig, RunPlan, SourceConfig, duality_report, run_sweep
+from dualitysim import DetectorConfig, RunPlan, SourceConfig, duality_report, run_sweep
 
 phi_s_values = tuple(np.linspace(0.0, math.pi / 2, 5))
 plan = RunPlan(phi_s_values=phi_s_values, pulses_per_point=120_000, coherence=0.967, seed=2)
@@ -19,14 +19,14 @@ source, detector = SourceConfig(), DetectorConfig()
 
 print(f"mean photons per gate {source.mu}, efficiency {detector.efficiency}, "
       f"loss {detector.system_loss_db} dB, {plan.pulses_per_point} pulses per point")
-scans = run_sweep(plan, source, detector)  # each phi_s in turn: its open, path0 and path1 scans
-reports = duality_report(scans)
-open_scans = [s for s in scans if s.block == "none"]
+counts = run_sweep(plan, source, detector)  # shape (phi_s, block, detector, phi_x), in plan order
+reports = duality_report(plan, counts)
+open_n1 = counts[:, plan.blocks.index("none"), 0]  # D1 counts of each phi_s's open scan
 
 print(f"\n{'phi_s':>8} {'V':>8} {'+-':>7} {'D':>8} {'+-':>7}   counts at fringe peak")
-for rep, scan in zip(reports, open_scans):
+for rep, n1 in zip(reports, open_n1):
     v, d = rep.visibility, rep.distinguishability
-    print(f"{rep.phi_s:8.4f} {v.value:8.4f} {v.sigma:7.4f} {d.value:8.4f} {d.sigma:7.4f}   {int(scan.n1.max())}")
+    print(f"{rep.phi_s:8.4f} {v.value:8.4f} {v.sigma:7.4f} {d.value:8.4f} {d.sigma:7.4f}   {int(n1.max())}")
 
 print("\nthe mirror setting shows no fringe; the balanced setting reaches the "
       "device contrast ~0.967; distinguishability runs the other way")
@@ -37,16 +37,18 @@ if "--plot" in sys.argv:
     except ImportError:
         print("matplotlib not installed; skipping the plot")
     else:
-        fig, axes = plt.subplots(len(phi_s_values), 3, figsize=(11, 2.2 * len(phi_s_values)),
+        fig, axes = plt.subplots(len(phi_s_values), len(plan.blocks), figsize=(11, 2.2 * len(phi_s_values)),
                                  sharex=True, sharey="row")
-        for i, s in enumerate(scans):
-            row, col = divmod(i, len(BLOCKS))
-            axes[row][col].plot(s.phi_x, s.n1, "o-", ms=3, label="D1")
-            axes[row][col].plot(s.phi_x, s.n2, "s--", ms=3, label="D2")
-            if row == 0:
-                axes[row][col].set_title({"none": "both open", "path0": "path 0 blocked",
-                                          "path1": "path 1 blocked"}[s.block])
-            axes[row][0].set_ylabel(f"phi_s={s.phi_s:.2f}")
+        phi_x = plan.phi_x_values()
+        for row, phi_s in enumerate(plan.phi_s_values):
+            for col, block in enumerate(plan.blocks):
+                n1, n2 = counts[row, col]
+                axes[row][col].plot(phi_x, n1, "o-", ms=3, label="D1")
+                axes[row][col].plot(phi_x, n2, "s--", ms=3, label="D2")
+                if row == 0:
+                    axes[row][col].set_title({"none": "both open", "path0": "path 0 blocked",
+                                              "path1": "path 1 blocked"}[block])
+            axes[row][0].set_ylabel(f"phi_s={phi_s:.2f}")
         axes[0][0].legend()
         for ax in axes[-1]:
             ax.set_xlabel("phi_x (rad)")

@@ -18,8 +18,8 @@ plan = RunPlan(phi_s_values=phi_s_values, pulses_per_point=2_000_000, coherence=
 
 print(f"{'phi_s':>7} | {'Hmin(frm)':>9} {'Hmax(frm)':>9} {'EUR(frm)':>9} | "
       f"{'Hmin(def)':>9} {'Hmax(def)':>9} {'EUR(def)':>9} | {'|dEUR|':>8} {'3(sa+sb)':>8}")
-# one scorecard per phi_s, all evaluated together from its open, path0 and path1 scans
-for rep in duality_report(run_sweep(plan)):
+# one scorecard per phi_s, all evaluated together from the sweep's (phi_s, block, detector, phi_x) counts
+for rep in duality_report(plan, run_sweep(plan)):
     f, d, eq = rep.formula.quantities, rep.definition.quantities, rep.equivalence
     tol = 3 * (rep.formula.eur_sigma + rep.definition.eur_sigma)
     print(f"{rep.phi_s:7.4f} | {f.h_min_z:9.5f} {f.h_max_w:9.5f} {f.eur_sum:9.5f} | "

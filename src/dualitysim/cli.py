@@ -33,7 +33,7 @@ import numpy as np
 
 from .entropy import duality_columns
 from .errors import ConfigError, ContractViolation, EstimationError
-from .estimators import MIN_FRINGE_POINTS, DualityReport, duality_report
+from .estimators import MIN_FRINGE_POINTS, DualityReport, covers_fringe_period, duality_report
 from .montecarlo import (
     IDEAL_MODE,
     MODES,
@@ -101,8 +101,7 @@ class ExperimentConfig:
                 raise ConfigError(f"plan.blocks: scenario {self.scenario!r} needs all block settings, missing {missing}")
             if self.plan.pulses_per_point == 0:
                 raise ConfigError(f"plan.pulses_per_point: scenario {self.scenario!r} needs at least one pulse")
-            start, stop, steps = self.plan.phi_x_grid
-            if steps < MIN_FRINGE_POINTS or stop - start < 2.0 * math.pi - 1e-9:
+            if not covers_fringe_period(self.plan.phi_x_values()):
                 raise ConfigError(f"plan.phi_x_grid: visibility needs {MIN_FRINGE_POINTS}+ steps over a 2pi period")
         if self.scenario == "switch":
             if self.mode == IDEAL_MODE:
@@ -220,14 +219,17 @@ def _write_json(path: Path, obj) -> None:
     path.write_text(json.dumps(obj, indent=2, sort_keys=True) + "\n", newline="\n")
 
 
-def _fringe_blocks(scans):
-    """fringes.csv columns, a block of whole scans (up to FRINGE_BLOCK_CELLS cells) as the writer reaches it."""
-    phi_x = _column(scans[0].phi_x)  # every scan of a sweep shares its plan's phi_x grid
+def _fringe_blocks(plan: RunPlan, counts: np.ndarray):
+    """fringes.csv columns from a sweep's counts, a block of whole scans (up to FRINGE_BLOCK_CELLS cells) at a time."""
+    phi_x, phi_s = _column(plan.phi_x_values()), _column(plan.phi_s_values)
+    scans = counts.reshape(-1, 2, len(phi_x))  # one (n1, n2) pair of rows per (phi_s, block), in plan order
+    settings = [(s, block) for s in phi_s for block in plan.blocks]
     per_block = max(1, FRINGE_BLOCK_CELLS // len(phi_x))
-    for group in (scans[i:i + per_block] for i in range(0, len(scans), per_block)):
-        n1, n2 = _columns(np.array([[s.n1 for s in group], [s.n2 for s in group]]).reshape(2, -1))
-        yield [[f for f in _column([s.phi_s for s in group]) for _ in phi_x], phi_x * len(group),
-               [s.block for s in group for _ in phi_x], n1, n2, [str(s.pulses_per_point) for s in group for _ in phi_x]]
+    for i in range(0, len(scans), per_block):
+        group = settings[i:i + per_block]
+        n1, n2 = _columns(scans[i:i + per_block].transpose(1, 0, 2).reshape(2, -1))
+        yield [[s for s, _ in group for _ in phi_x], phi_x * len(group), [block for _, block in group for _ in phi_x],
+               n1, n2, [str(plan.pulses_per_point)] * len(n1)]
 
 
 DUALITY_HEADER = (
@@ -319,10 +321,10 @@ def run(cfg: ExperimentConfig) -> int:
             _write_json(out / "report.json", report)
             return EXIT_OK
 
-        scans = run_sweep(cfg.plan, cfg.source, cfg.detector, mode=cfg.mode)
-        reports = duality_report(scans)
+        counts = run_sweep(cfg.plan, cfg.source, cfg.detector, mode=cfg.mode)
+        reports = duality_report(cfg.plan, counts)
         violations = _violations(reports, cfg.mode)
-        _write_csv(out / "fringes.csv", "phi_s,phi_x,block,n1,n2,pulses", _fringe_blocks(scans))
+        _write_csv(out / "fringes.csv", "phi_s,phi_x,block,n1,n2,pulses", _fringe_blocks(cfg.plan, counts))
         _write_csv(out / "duality.csv", DUALITY_HEADER, [_duality_columns(reports)])
         _write_json(out / "report.json", dict(
             provenance,

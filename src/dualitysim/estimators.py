@@ -22,12 +22,12 @@ directly from the measured grid (argmax/argmin, ties broken toward the lowest
 phi_x): the optional sinusoid fit below is presentation-only and never feeds
 entropies.
 
-The scorecard is one array pass.  :func:`duality_report` takes a sweep's
-scans as they come, groups them by block label, stacks each group into rows
-and computes the grid extrema, V, D, both routes, their sigmas and the route
-equivalence for all rows at once.  Each stage reports its failed checks per
-row instead of raising, so a batch raises the error of its first failing
-setting, as a loop over the settings would.
+The scorecard is one array pass.  :func:`duality_report` slices a sweep's
+counts (phi_s, block, detector, phi_x) into each block's rows and computes
+the grid extrema, V, D, both routes, their sigmas and the route equivalence
+for all rows at once.  Each stage reports its failed checks per row instead
+of raising, so a sweep raises the error of its first failing setting, as a
+loop over the settings would.
 """
 from __future__ import annotations
 
@@ -38,8 +38,7 @@ import numpy as np
 
 from .entropy import DualityQuantities, duality_columns, eur_check, h_max, h_min
 from .errors import ContractViolation, EstimationError
-from .optics import BLOCK_NONE, BLOCK_PATH0, BLOCK_PATH1, BLOCKS
-from .tolerances import ATOL_ALGEBRAIC
+from .optics import BLOCK_PATH0, BLOCK_PATH1, BLOCKS
 
 LN2 = math.log(2.0)
 
@@ -52,22 +51,17 @@ DEFINITION_ROUTE = "definition"
 
 @dataclass(frozen=True)
 class FringeScan:
-    """Counts at both detectors along a phi_x sweep at one (phi_s, block) setting."""
+    """Counts at both detectors along a phi_x sweep at one setting."""
 
-    phi_s: float
-    block: str
     phi_x: np.ndarray
     n1: np.ndarray
     n2: np.ndarray
-    pulses_per_point: int
 
     def __post_init__(self):
         for name in ("phi_x", "n1", "n2"):
             arr = np.array(getattr(self, name), dtype=np.float64, ndmin=1)  # always a copy
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
-        if self.block not in BLOCKS:
-            raise ContractViolation(f"block must be one of {BLOCKS}, got {self.block!r}")
         if self.phi_x.size == 0:
             raise ContractViolation("scan needs at least one point")
         if not (self.phi_x.size == self.n1.size == self.n2.size):
@@ -77,8 +71,6 @@ class FringeScan:
         for name, arr in (("n1", self.n1), ("n2", self.n2)):
             if not ((arr >= 0) & (arr < np.inf)).all():  # NaN fails both
                 raise ContractViolation(f"{name} counts must be finite and nonnegative")
-        if self.pulses_per_point < 0:
-            raise ContractViolation("pulses_per_point must be nonnegative")
 
     @property
     def totals(self) -> np.ndarray:
@@ -145,17 +137,14 @@ def _kept(scan: FringeScan):
 
 
 class _Rows:
-    """Scans of one length stacked into rows, with each row's kept points and p_hat = n1/(n1+n2) extrema.
+    """One block's (phi_s, detector, phi_x) counts, with each row's kept points and p_hat = n1/(n1+n2) extrema.
 
     The extrema are grid indices over the kept (nonzero-total) points, ties
     broken toward the lowest phi_x.
     """
 
-    def __init__(self, scans):
-        if len({s.phi_x.size for s in scans}) > 1:
-            raise ContractViolation("scans evaluated together must have the same number of phi_x points")
-        self.phi_s = np.array([s.phi_s for s in scans], dtype=np.float64)
-        self.phi_x, self.n1, self.n2 = (np.array([getattr(s, name) for s in scans]) for name in ("phi_x", "n1", "n2"))
+    def __init__(self, counts: np.ndarray):
+        self.n1, self.n2 = counts[:, 0], counts[:, 1]
         self.totals = self.n1 + self.n2
         self.keep = self.totals > 0
         with np.errstate(invalid="ignore"):
@@ -200,7 +189,7 @@ def _ratio_variance(a, b, s, var_a, var_b):
 
 
 def _grid_checks(span, size, error) -> list:
-    """Checks that phi_x grids of ``size`` points over ``span`` cover one fringe period."""
+    """Checks that phi_x grids of ``size`` points over ``span`` (first to last point) cover one fringe period."""
     short = span + span / (size - 1) < 2.0 * math.pi - 1e-9
     return [
         (size < MIN_FRINGE_POINTS, error, lambda i: f"need at least {MIN_FRINGE_POINTS} usable points, got {size[i]}"),
@@ -208,23 +197,28 @@ def _grid_checks(span, size, error) -> list:
     ]
 
 
+def covers_fringe_period(phi_x: np.ndarray) -> bool:
+    """Whether a phi_x grid of two or more points passes the visibility estimate's grid checks."""
+    return not any(fails for fails, _, _ in _grid_checks(phi_x[-1] - phi_x[0], phi_x.size, ContractViolation))
+
+
 @np.errstate(divide="ignore", invalid="ignore")
-def _visibility(rows: _Rows):
-    """V and its sigma per open row from the detector-1 counts at the grid extrema, with the estimate's checks."""
+def _visibility(rows: _Rows, x: np.ndarray):
+    """V and its sigma per open row on phi_x grid ``x``, from detector-1 counts at the grid extrema, with the checks."""
     n_max, n_min = _at(rows.n1, rows.i_max), _at(rows.n1, rows.i_min)
     s = n_max + n_min
     # a zero-count extremum still carries one count's worth of Poisson
     # uncertainty; without the floor the boundary estimate V=1 would report
     # sigma 0 and defeat every downstream consistency check
     m_max, m_min = np.maximum(n_max, 1.0), np.maximum(n_min, 1.0)
-    x, kept = rows.phi_x, rows.keep.sum(axis=-1)
-    first, last = rows.keep.argmax(axis=-1), x.shape[-1] - 1 - rows.keep[:, ::-1].argmax(axis=-1)
+    kept = rows.keep.sum(axis=-1)
+    first, last = rows.keep.argmax(axis=-1), x.size - 1 - rows.keep[:, ::-1].argmax(axis=-1)
     # A grid too short or too narrow is a caller error; a grid that becomes
     # so only once its zero-count points are dropped is degenerate data.
     return (n_max - n_min) / s, np.sqrt(_ratio_variance(m_max, m_min, s, m_max, m_min)), [
         (kept == 0, EstimationError, "all points in scan have zero counts"),
-        *_grid_checks(x[:, -1] - x[:, 0], np.full(kept.shape, x.shape[-1]), ContractViolation),
-        *_grid_checks(_at(x, last) - _at(x, first), kept, EstimationError),
+        *_grid_checks(np.full(kept.shape, x[-1] - x[0]), np.full(kept.shape, x.size), ContractViolation),
+        *_grid_checks(x[last] - x[first], kept, EstimationError),
         (s <= 0, EstimationError, "zero detector-1 counts at both fringe extrema"),
     ]
 
@@ -244,7 +238,6 @@ def _distinguishability(b0: _Rows, b1: _Rows):
     """D = (D_1 + D_2)/2 and its sigma per pair of blocked rows, with the estimate's checks."""
     (d0, var0, empty0), (d1, var1, empty1) = _pooled_bias(b0), _pooled_bias(b1)
     return 0.5 * (d0 + d1), 0.5 * np.sqrt(var0 + var1), [
-        (np.abs(b0.phi_s - b1.phi_s) > ATOL_ALGEBRAIC, ContractViolation, "blocked scans must share the same phi_s"),
         (empty0, EstimationError, f"zero total counts in blocked scan ({BLOCK_PATH0})"),
         (empty1, EstimationError, f"zero total counts in blocked scan ({BLOCK_PATH1})"),
     ]
@@ -320,33 +313,31 @@ def _estimates(value, sigma) -> list:
     return _objects(EstimateWithError, {"value": value, "sigma": sigma})
 
 
-def duality_report(scans) -> list:
-    """Full dual-route scorecards for many phi_s settings at once, one DualityReport per setting.
+def duality_report(plan, counts) -> list:
+    """Full dual-route scorecards for every phi_s of ``plan``, one DualityReport per setting.
 
-    ``scans`` come as :func:`run_sweep` returns them, blocks in any interleaving:
-    the i-th open, path0 and path1 scans are the i-th setting, and the scans of
-    one block share one phi_x length.  Where a setting cannot be estimated, the
-    error raised is the first one a loop over the settings would meet.
+    ``counts`` is laid out as :func:`run_sweep` returns it for ``plan``, which
+    holds all three blocks in any order.  Where a setting cannot be estimated,
+    the error raised is the first one a loop over the settings would meet.
     """
-    groups = {block: [] for block in BLOCKS}
-    for scan in scans:
-        groups[scan.block].append(scan)
-    if len({len(group) for group in groups.values()}) > 1:
+    if any(block not in plan.blocks for block in BLOCKS):
         raise ContractViolation("need one open, one path0 and one path1 scan per phi_s")
-    if not groups[BLOCK_NONE]:
-        return []
-    op, b0, b1 = (_Rows(group) for group in groups.values())
-    v, sigma_v, v_checks = _visibility(op)
+    counts = np.asarray(counts, dtype=np.float64)
+    if counts.shape != (len(plan.phi_s_values), len(plan.blocks), 2, plan.phi_x_grid[2]):
+        raise ContractViolation(f"counts need the plan's (phi_s, block, detector, phi_x) shape, not {counts.shape}")
+    bad = np.argwhere(~((counts >= 0) & (counts < np.inf)))  # NaN fails both; rows come in plan order
+    if bad.size:
+        raise ContractViolation(f"n{bad[0][2] + 1} counts must be finite and nonnegative")
+    op, b0, b1 = (_Rows(counts[:, plan.blocks.index(block)]) for block in BLOCKS)
+    v, sigma_v, v_checks = _visibility(op, plan.phi_x_values())
     d, sigma_d, d_checks = _distinguishability(b0, b1)
     pair, pair_checks = _fringe_pair(op)
-    mismatch = np.abs(op.phi_s - b0.phi_s) > ATOL_ALGEBRAIC
-    _raise_first([*v_checks, *d_checks, (mismatch, ContractViolation, "open and blocked scans must share the same phi_s"),
-                  *pair_checks])
+    _raise_first([*v_checks, *d_checks, *pair_checks])
     dropped = sum((~rows.keep).sum(axis=-1) for rows in (op, b0, b1))
     formula = dict(_formula_route(v, sigma_v, d, sigma_d), dropped_points=dropped)
     definition = dict(_definition_route(*pair, d, sigma_d), dropped_points=dropped)
     return _objects(DualityReport, {
-        "phi_s": [s.phi_s for s in groups[BLOCK_NONE]],
+        "phi_s": plan.phi_s_values,
         "visibility": _estimates(v, sigma_v),
         "distinguishability": _estimates(d, sigma_d),
         "formula": _route_reports(FORMULA_ROUTE, formula),

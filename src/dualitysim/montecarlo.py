@@ -40,7 +40,6 @@ from dataclasses import astuple, dataclass
 import numpy as np
 
 from .errors import ContractViolation
-from .estimators import FringeScan
 from .optics import BLOCKS, CircuitConfig, open_p1, raw_detection_probs, raw_probs
 
 IDEAL_MODE = "ideal"
@@ -352,14 +351,14 @@ def run_sweep(
     source: SourceConfig | None = None,
     detector: DetectorConfig | None = None,
     mode: str = MONTECARLO_MODE,
-) -> list:
-    """One FringeScan per (phi_s, block) pair, in plan order.
+) -> np.ndarray:
+    """Counts of every cell of ``plan``: float64, shape (phi_s, block, detector D1/D2, phi_x), in plan order.
 
-    Each pair is evaluated as one phi_x row.  The ideal route is the
-    noiseless mass pulses * p, bypassing the click model and its ~mu_eff/2
-    relative nonlinearity so that it reproduces the closed forms exactly.
-    The Monte Carlo route draws each cell's D1 then D2 count from the
-    cell's own substream (see :func:`cell_rng`), with every cell's state
+    Each (phi_s, block) pair is evaluated as one phi_x row.  The ideal route
+    is the noiseless mass pulses * p, bypassing the click model and its
+    ~mu_eff/2 relative nonlinearity so that it reproduces the closed forms
+    exactly.  The Monte Carlo route draws each cell's D1 then D2 count from
+    the cell's own substream (see :func:`cell_rng`), with every cell's state
     derived up front in one array pass and one Generator set to each in turn.
     """
     if mode not in MODES:
@@ -374,20 +373,18 @@ def run_sweep(
         s_idx = np.arange(len(plan.phi_s_values))
         words = _substream_words(plan.seed, b_idx[:, None], s_idx[:, None, None], np.arange(phi_x.size))  # (s, b, x, 4)
         rng = np.random.Generator(np.random.PCG64(0))  # its state is set cell by cell
-    scans = []
+    counts = np.empty((len(plan.phi_s_values), len(plan.blocks), 2, phi_x.size))
     for s_pos, phi_s in enumerate(plan.phi_s_values):
         for b_pos, block in enumerate(plan.blocks):
-            p = raw_probs(phi_x, phi_s, block, coherence)
+            p, row = raw_probs(phi_x, phi_s, block, coherence), counts[s_pos, b_pos]
             if mode == IDEAL_MODE:
-                counts = pulses * p
-            else:
-                counts = np.empty_like(p)
+                row[:] = pulses * p
+            else:  # one row of cells at a time becomes Python lists, which bounds their memory
                 cells = zip(click_probs(p, source, detector).T.tolist(), words[s_pos, b_pos].tolist())
                 for x_idx, ((c1, c2), cell_words) in enumerate(cells):
                     rng.bit_generator.state = _pcg64_state(cell_words)
-                    counts[:, x_idx] = rng.binomial(pulses, c1), rng.binomial(pulses, c2)
-            scans.append(FringeScan(phi_s, block, phi_x, n1=counts[0], n2=counts[1], pulses_per_point=pulses))
-    return scans
+                    row[:, x_idx] = rng.binomial(pulses, c1), rng.binomial(pulses, c2)
+    return counts
 
 
 @dataclass(frozen=True)

@@ -4,6 +4,7 @@ Each test prints a single PASS line with its measured figures (visible with
 ``pytest -s``); a failed assertion marks the criterion failed.  Statistical
 criteria run on fixed seeds, so the whole suite is deterministic.
 """
+import itertools
 import math
 import time
 from dataclasses import asdict
@@ -12,7 +13,9 @@ from pathlib import Path
 import numpy as np
 
 from dualitysim import (
+    BLOCK_NONE,
     CircuitConfig,
+    FringeScan,
     RunPlan,
     circuit_output_state,
     detection_probs_blocked,
@@ -38,10 +41,6 @@ REPO = Path(__file__).resolve().parents[1]
 REFERENCE_CONFIG = REPO / "configs" / "reference_sweep.json"
 
 NINE_PHI_S = DEFAULT_PHI_S
-
-
-def sweep_by_setting(plan, mode="montecarlo"):
-    return {(s.phi_s, s.block): s for s in run_sweep(plan, mode=mode)}
 
 
 def test_criterion_1_route_equivalence_identity():
@@ -138,8 +137,8 @@ def test_criterion_5_fringe_reproduction_at_desk_scale():
     """Default Monte Carlo run reproduces the fringe families."""
     t0 = time.time()
     plan = RunPlan(phi_s_values=NINE_PHI_S, pulses_per_point=120_000, coherence=0.967, seed=2)
-    scans = sweep_by_setting(plan)
-    reports = {rep.phi_s: rep for rep in duality_report(scans.values())}
+    counts = run_sweep(plan)
+    reports = {rep.phi_s: rep for rep in duality_report(plan, counts)}
 
     # full-contrast setting: visibility inside the device's measured band
     v_top = reports[NINE_PHI_S[-1]].visibility
@@ -152,10 +151,10 @@ def test_criterion_5_fringe_reproduction_at_desk_scale():
 
     # every blocked scan flat in phi_x (exactly one-sided scans are trivially flat)
     worst_flat = None
-    for (phi_s, block), scan in scans.items():
-        if block == "none":
+    for (s, phi_s), (b, block) in itertools.product(enumerate(plan.phi_s_values), enumerate(plan.blocks)):
+        if block == BLOCK_NONE:
             continue
-        check = flatness_check(scan, n_sigma=3.0)
+        check = flatness_check(FringeScan(plan.phi_x_values(), *counts[s, b]), n_sigma=3.0)
         assert check.flat, (phi_s, block, check)
         if check.allowance > 0:
             slack = (check.allowance - check.spread) / check.allowance
@@ -188,7 +187,7 @@ def test_criterion_6_eur_statistics_over_seeds():
             coherence=0.967, seed=seed,
         )
         agree = 0
-        for rep in duality_report(run_sweep(plan)):
+        for rep in duality_report(plan, run_sweep(plan)):
             f = rep.formula
             if f.quantities.eur_sum < 1.0 - 3.0 * f.eur_sigma:
                 eur_failures += 1

@@ -3,7 +3,7 @@ import csv
 import io
 import json
 import math
-from dataclasses import asdict, fields
+from dataclasses import asdict, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -234,8 +234,8 @@ class TestRunArtifacts:
         import dualitysim.cli as cli_mod
 
         # force an unphysical scorecard (V = D = 1) through the pipeline
-        def fake_report(scans, **kwargs):
-            return [self._unphysical(scan.phi_s) for scan in scans if scan.block == "none"]
+        def fake_report(plan, counts):
+            return [self._unphysical(phi_s) for phi_s in plan.phi_s_values]
 
         monkeypatch.setattr(cli_mod, "duality_report", fake_report)
         cfg = config_from_dict(
@@ -255,8 +255,8 @@ class TestRunArtifacts:
         real = cli_mod.duality_report
 
         # the real scorecard, with the settings in ``forced`` replaced by unphysical ones
-        def fake_report(scans, **kwargs):
-            reports = real(scans, **kwargs)
+        def fake_report(plan, counts):
+            reports = real(plan, counts)
             return [self._unphysical(r.phi_s, *forced[i]) if i in forced else r for i, r in enumerate(reports)]
 
         monkeypatch.setattr(cli_mod, "duality_report", fake_report)
@@ -279,8 +279,9 @@ class TestRunArtifacts:
                                 "plan": {"phi_s_values": [0.5, 0.5], "pulses_per_point": 4000, "seed": 1}})
         assert run(cfg) == EXIT_OK
         rows = (tmp_path / "out" / "duality.csv").read_text().splitlines()[1:]
-        scans = run_sweep(cfg.plan, cfg.source, cfg.detector, mode=cfg.mode)
-        want = [",".join(row) for i in (0, 3) for row in zip(*_duality_columns(duality_report(scans[i:i + 3])))]
+        counts = run_sweep(cfg.plan, cfg.source, cfg.detector, mode=cfg.mode)
+        one = replace(cfg.plan, phi_s_values=(0.5,))
+        want = [",".join(row) for i in (0, 1) for row in zip(*_duality_columns(duality_report(one, counts[i:i + 1])))]
         assert rows == want and rows[0] != rows[1]
 
 
@@ -368,6 +369,9 @@ UNUSABLE_INPUTS = {
     "blocks_string": ("sweep", {"plan": {"blocks": "none"}}),
     "too_few_steps": ("sweep", {"plan": {"phi_x_grid": [0, "2pi", 4]}}),
     "less_than_a_period": ("eur-verify", {"mode": "ideal", "plan": {"phi_x_grid": [0, "pi", 32]}}),
+    # Nominally 2pi - 1e-9 wide, or 2pi at an offset of 1e12: the realized grids fall short of one period.
+    "phi_x_grid_just_short_of_a_period": ("sweep", {"plan": {"phi_x_grid": [0, 6.283185306179586, 89]}}),
+    "phi_x_grid_short_at_offset_1e12": ("sweep", {"plan": {"phi_x_grid": [1e12, 1000000000006.2832, 100]}}),
     "zero_pulses_sweep": ("sweep", {"plan": {"pulses_per_point": 0}}),
     "zero_pulses_verify": ("eur-verify", {"mode": "ideal", "plan": {"pulses_per_point": 0}}),
     "rep_rate_nan": ("switch", {"source": {"rep_rate": math.nan}}),
@@ -427,6 +431,15 @@ def test_switch_period_of_one_pulse_runs(tmp_path, capsys):
         assert main(["switch", "--config", str(write_config(tmp_path, payload)), "--out", str(out)]) == EXIT_OK
         assert capsys.readouterr().err == ""
         assert len((out / "timeseries.csv").read_text().splitlines()) == 3
+
+
+@pytest.mark.parametrize("grid", [[-368957161.5728853, -368957155.2897, 18], [134400008.8750875, 134400015.1582728, 141]])
+def test_grid_short_of_a_period_only_as_written_runs(grid, tmp_path, capsys):
+    # stop - start is under 2pi - 1e-9, but the realized phi_x floats cover one period, which is what V needs
+    assert grid[1] - grid[0] < 2.0 * math.pi - 1e-9
+    cfg_path = write_config(tmp_path, {"scenario": "sweep", "plan": {"phi_x_grid": grid}})
+    assert main(["sweep", "--config", str(cfg_path), "--out", str(tmp_path / "out")]) == EXIT_OK
+    assert capsys.readouterr().err == ""
 
 
 def test_output_dir_must_be_a_path_string():

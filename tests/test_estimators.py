@@ -34,56 +34,57 @@ from dualitysim.tolerances import ATOL_ALGEBRAIC, INEQ_SLACK
 PHI_X_16 = np.linspace(0.0, 2.0 * math.pi, 16, endpoint=False)
 
 
-def scan(n1, n2, phi_s=0.0, block="none", pulses=120_000, phi_x=None):
+def scan(n1, n2, phi_x=PHI_X_16):
+    """A hand-built scan, as flatness_check and fit_fringe take it."""
     n1 = np.asarray(n1, dtype=float)
-    x = PHI_X_16 if phi_x is None else phi_x
-    return FringeScan(
-        phi_s=phi_s, block=block, phi_x=x[: n1.size], n1=n1,
-        n2=np.asarray(n2, dtype=float), pulses_per_point=pulses,
-    )
+    return FringeScan(phi_x=phi_x[: n1.size], n1=n1, n2=np.asarray(n2, dtype=float))
 
 
-def ideal_scans(phi_s, coherence=1.0, steps=32, pulses=120_000):
+def score(open_counts, b0_counts, b1_counts, phi_s=0.0, grid=None):
+    """The scorecard of one setting from its open, path0 and path1 (n1, n2) counts.
+
+    The plan's phi_x grid defaults to one period over as many points as the counts hold.
+    """
+    counts = np.array([[open_counts, b0_counts, b1_counts]], dtype=float)
+    plan = RunPlan(phi_s_values=(phi_s,), phi_x_grid=grid or (0.0, 2.0 * math.pi, counts.shape[-1]))
+    [rep] = duality_report(plan, counts)
+    return rep
+
+
+def ideal_sweep(phi_s, coherence=1.0, steps=32, pulses=120_000):
+    """The plan of one noiseless setting and its counts."""
     plan = RunPlan(
         phi_s_values=(phi_s,), phi_x_grid=(0.0, 2.0 * math.pi, steps),
         pulses_per_point=pulses, coherence=coherence, seed=0,
     )
-    scans = run_sweep(plan, mode="ideal")
-    return {s.block: s for s in scans}
+    return plan, run_sweep(plan, mode="ideal")
 
 
 def ideal_report(phi_s, **kwargs):
     """The scorecard of one noiseless setting."""
-    [rep] = duality_report(ideal_scans(phi_s, **kwargs).values())
+    [rep] = duality_report(*ideal_sweep(phi_s, **kwargs))
     return rep
 
 
-def score(*scans):
-    """The scorecard of one setting's three scans."""
-    [rep] = duality_report(scans)
-    return rep
-
-
-def with_balanced_blocked(scan_open, n=500.0):
-    """A lone open scan with blocked scans of D = 0 on its grid and at its phi_s."""
-    counts = np.full(scan_open.phi_x.size, n)
-    return score(scan_open, *(scan(counts, counts, phi_s=scan_open.phi_s, block=b, phi_x=scan_open.phi_x)
-                              for b in ("path0", "path1")))
+def with_balanced_blocked(n1, n2, n=500.0, grid=None):
+    """A lone open scan with blocked scans of D = 0 on its grid."""
+    counts = np.full(np.size(n1), n)
+    return score((n1, n2), (counts, counts), (counts, counts), grid=grid)
 
 
 def with_ideal_open(b0, b1):
-    """A lone blocked pair with a full-contrast open scan (V = 1) on its grid and at path0's phi_s."""
-    p = 0.5 * (1.0 + np.sin(b0.phi_x))
-    return score(scan(1000.0 * p, 1000.0 * (1.0 - p), phi_s=b0.phi_s, phi_x=b0.phi_x), b0, b1)
+    """A lone blocked pair with a full-contrast open scan (V = 1) on its grid."""
+    p = 0.5 * (1.0 + np.sin(PHI_X_16[: np.size(b0[0])]))
+    return score((1000.0 * p, 1000.0 * (1.0 - p)), b0, b1)
 
 
 def low_exposure_peak():
-    """An open scan whose fringe max has fewer detector-1 counts than its min, so V < 0."""
+    """Open (n1, n2) counts whose fringe max has fewer detector-1 counts than its min, so V < 0."""
     n1 = np.full(16, 50.0)
     n2 = np.full(16, 50.0)
     n1[4], n2[4] = 9.0, 1.0     # p_hat = 0.9, only 10 clicks
     n1[12], n2[12] = 100.0, 900.0  # p_hat = 0.1, heavy exposure
-    return scan(n1, n2)
+    return n1, n2
 
 
 class TestVisibility:
@@ -91,12 +92,12 @@ class TestVisibility:
         # fringe peak 900 counts, trough 100 counts
         n1 = np.full(16, 500.0)
         n1[4], n1[12] = 900.0, 100.0
-        est = with_balanced_blocked(scan(n1, 1000.0 - n1)).visibility
+        est = with_balanced_blocked(n1, 1000.0 - n1).visibility
         assert est.value == pytest.approx(0.8, abs=1e-12)
         assert est.sigma == pytest.approx(0.018973665961010275, abs=1e-12)
 
     def test_flat_fringe_zero_visibility(self):
-        est = with_balanced_blocked(scan(np.full(16, 500.0), np.full(16, 500.0))).visibility
+        est = with_balanced_blocked(np.full(16, 500.0), np.full(16, 500.0)).visibility
         assert est.value == pytest.approx(0.0, abs=1e-12)
 
     def test_ideal_model_matches_contrast_law(self):
@@ -116,52 +117,45 @@ class TestVisibility:
 
     def test_requires_enough_points(self):
         with pytest.raises(ContractViolation, match="need at least"):
-            with_balanced_blocked(scan(np.full(4, 1.0), np.full(4, 1.0), phi_x=PHI_X_16[:4]))
+            with_balanced_blocked(np.full(4, 1.0), np.full(4, 1.0))
 
     def test_requires_full_period(self):
-        x = np.linspace(0.0, math.pi, 16)  # half a fringe period
         with pytest.raises(ContractViolation, match="less than one fringe period"):
-            with_balanced_blocked(scan(np.full(16, 1.0), np.full(16, 1.0), phi_x=x))
+            with_balanced_blocked(np.full(16, 1.0), np.full(16, 1.0), grid=(0.0, math.pi, 16))  # half a period
 
     def test_all_zero_counts(self):
         with pytest.raises(EstimationError, match="all points in scan have zero counts"):
-            with_balanced_blocked(scan(np.zeros(16), np.zeros(16)))
+            with_balanced_blocked(np.zeros(16), np.zeros(16))
 
     def test_empty_points_dropped(self):
         n1 = np.full(16, 500.0)
         n2 = np.full(16, 500.0)
         n1[3] = n2[3] = 0.0  # dead point must not poison the estimate
-        est = with_balanced_blocked(scan(n1, n2)).visibility
+        est = with_balanced_blocked(n1, n2).visibility
         assert est.value == pytest.approx(0.0, abs=1e-12)
 
 
 class TestDistinguishability:
     def test_mirror_mode(self):
-        b0 = scan(np.full(16, 1000.0), np.zeros(16), block="path0")
-        b1 = scan(np.zeros(16), np.full(16, 1000.0), block="path1")
+        b0 = (np.full(16, 1000.0), np.zeros(16))
+        b1 = (np.zeros(16), np.full(16, 1000.0))
         est = with_ideal_open(b0, b1).distinguishability
         assert est.value == pytest.approx(1.0, abs=1e-12)
         # boundary estimate carries the one-count floor, not zero sigma
         assert 0.0 < est.sigma < 1e-3
 
     def test_balanced_mode(self):
-        b0 = scan(np.full(16, 500.0), np.full(16, 500.0), block="path0")
-        b1 = scan(np.full(16, 500.0), np.full(16, 500.0), block="path1")
+        b0 = (np.full(16, 500.0), np.full(16, 500.0))
+        b1 = (np.full(16, 500.0), np.full(16, 500.0))
         assert with_ideal_open(b0, b1).distinguishability.value == pytest.approx(0.0, abs=1e-12)
 
     def test_ideal_intermediate_setting(self):
         est = ideal_report(math.pi / 3).distinguishability
         assert est.value == pytest.approx(0.5, abs=1e-12)
 
-    def test_phi_s_mismatch(self):
-        b0 = scan(np.full(16, 1.0), np.zeros(16), block="path0", phi_s=0.1)
-        b1 = scan(np.zeros(16), np.full(16, 1.0), block="path1", phi_s=0.2)
-        with pytest.raises(ContractViolation, match="blocked scans must share the same phi_s"):
-            with_ideal_open(b0, b1)
-
     def test_zero_counts(self):
-        b0 = scan(np.zeros(16), np.zeros(16), block="path0")
-        b1 = scan(np.zeros(16), np.full(16, 1.0), block="path1")
+        b0 = (np.zeros(16), np.zeros(16))
+        b1 = (np.zeros(16), np.full(16, 1.0))
         with pytest.raises(EstimationError, match=r"zero total counts in blocked scan \(path0\)"):
             with_ideal_open(b0, b1)
 
@@ -170,7 +164,7 @@ class TestFormulaRoute:
     def test_extreme_inputs(self):
         # full contrast (detector 1 dark at the fringe minimum), balanced blocked scans: V = 1, D = 0
         p = 0.5 * (1.0 + np.sin(PHI_X_16))
-        report = with_balanced_blocked(scan(1000.0 * p, 1000.0 * (1.0 - p))).formula
+        report = with_balanced_blocked(1000.0 * p, 1000.0 * (1.0 - p)).formula
         assert (report.quantities.v, report.quantities.d) == (1.0, 0.0)
         assert report.quantities.eur_sum == pytest.approx(1.0, abs=1e-12)
         assert report.quantities.eur_satisfied
@@ -185,8 +179,8 @@ class TestFormulaRoute:
 
     def test_clamping_flagged(self):
         # V < 0 from the counts, D = 0.5 from blocked scans with 3:1 pooled counts
-        b0 = scan(np.full(16, 75.0), np.full(16, 25.0), block="path0")
-        b1 = scan(np.full(16, 25.0), np.full(16, 75.0), block="path1")
+        b0 = (np.full(16, 75.0), np.full(16, 25.0))
+        b1 = (np.full(16, 25.0), np.full(16, 75.0))
         report = score(low_exposure_peak(), b0, b1).formula
         assert report.clamped_v and not report.clamped_d
         assert report.quantities.v == 0.0 and report.quantities.d == 0.5
@@ -194,7 +188,7 @@ class TestFormulaRoute:
     def test_visibility_clamp_reachable_from_counts(self):
         # a low-exposure peak can put fewer detector-1 counts at the fringe
         # max than at the min; the route must clamp, not crash
-        rep = with_balanced_blocked(low_exposure_peak())
+        rep = with_balanced_blocked(*low_exposure_peak())
         assert rep.visibility.value < 0.0
         assert rep.formula.clamped_v
 
@@ -226,11 +220,7 @@ class TestDefinitionRoute:
             raw_open = rng.poisson(60.0, size=(2, 16)).astype(float) + 1.0
             raw_b0 = rng.poisson(40.0, size=(2, 16)).astype(float) + 1.0
             raw_b1 = rng.poisson(40.0, size=(2, 16)).astype(float) + 1.0
-            t_open, t_b0, t_b1 = (r.sum(axis=0) for r in (raw_open, raw_b0, raw_b1))
-            s_open = scan(raw_open[0] / t_open, raw_open[1] / t_open, phi_s=phi_s)
-            s_b0 = scan(raw_b0[0] / t_b0, raw_b0[1] / t_b0, phi_s=phi_s, block="path0")
-            s_b1 = scan(raw_b1[0] / t_b1, raw_b1[1] / t_b1, phi_s=phi_s, block="path1")
-            rep = score(s_open, s_b0, s_b1)
+            rep = score(*(raw / raw.sum(axis=0) for raw in (raw_open, raw_b0, raw_b1)), phi_s=phi_s)
             defn, formula = rep.definition, rep.formula
             assert abs(defn.quantities.h_min_z - formula.quantities.h_min_z) < 1e-12
             assert abs(defn.quantities.h_max_w - formula.quantities.h_max_w) < 1e-12
@@ -239,7 +229,7 @@ class TestDefinitionRoute:
 class TestEquivalenceAndReports:
     def test_ideal_diffs_vanish_for_any_phi_s(self):
         plan = RunPlan(phi_s_values=tuple(np.linspace(0.0, math.pi / 2, 9)), coherence=1.0, seed=0)
-        reports = duality_report(run_sweep(plan, mode="ideal"))
+        reports = duality_report(plan, run_sweep(plan, mode="ideal"))
         assert [rep.phi_s for rep in reports] == list(plan.phi_s_values)
         for rep in reports:
             assert rep.equivalence.d_h_min < 1e-12
@@ -255,7 +245,7 @@ class TestEquivalenceAndReports:
             plan = RunPlan(
                 phi_s_values=(math.pi / 4,), pulses_per_point=100_000, seed=seed
             )
-            [rep] = duality_report(run_sweep(plan))
+            [rep] = duality_report(plan, run_sweep(plan))
             eq, f, d = rep.equivalence, rep.formula, rep.definition
             hits += (eq.d_h_min <= 3.0 * (f.h_min_sigma + d.h_min_sigma)
                      and eq.d_h_max <= 3.0 * (f.h_max_sigma + d.h_max_sigma)
@@ -263,54 +253,55 @@ class TestEquivalenceAndReports:
         assert hits >= 0.99 * len(seeds)
 
     def test_sigma_scaling_with_counts(self):
-        plan = RunPlan(phi_s_values=(math.pi / 8,), pulses_per_point=200_000, seed=3)
-        [small] = duality_report(run_sweep(plan, mode="ideal"))
-        plan4 = RunPlan(phi_s_values=(math.pi / 8,), pulses_per_point=800_000, seed=3)
-        [big] = duality_report(run_sweep(plan4, mode="ideal"))
+        [small] = duality_report(*ideal_sweep(math.pi / 8, pulses=200_000))
+        [big] = duality_report(*ideal_sweep(math.pi / 8, pulses=800_000))
         for pick in (lambda rep: rep.visibility, lambda rep: rep.distinguishability):
             ratio = pick(small).sigma / pick(big).sigma
             assert abs(ratio - 2.0) < 0.1  # fourfold counts halve sigma within 5%
 
     def test_dropped_points_counted(self):
-        scans = ideal_scans(math.pi / 4)
-        n1 = scans["none"].n1.copy()
-        n2 = scans["none"].n2.copy()
-        n1[5] = n2[5] = 0.0
-        broken = FringeScan(
-            phi_s=scans["none"].phi_s, block="none", phi_x=scans["none"].phi_x,
-            n1=n1, n2=n2, pulses_per_point=scans["none"].pulses_per_point,
-        )
-        [rep] = duality_report([broken, scans["path0"], scans["path1"]])
+        plan, counts = ideal_sweep(math.pi / 4)
+        counts[0, BLOCKS.index("none"), :, 5] = 0.0
+        [rep] = duality_report(plan, counts)
         assert rep.formula.dropped_points == 1
         assert rep.definition.dropped_points == 1
 
-    def test_open_and_blocked_phi_s_must_match(self):
-        scans, other = ideal_scans(math.pi / 4), ideal_scans(math.pi / 3)
-        with pytest.raises(ContractViolation, match="open and blocked"):
-            duality_report([scans["none"], other["path0"], other["path1"]])
-
-    def test_empty_sequences_give_no_reports(self):
-        assert duality_report([]) == []
-
-    def test_sequences_of_unequal_length_rejected(self):
-        scans = ideal_scans(math.pi / 4)
+    def test_plan_without_every_block_rejected(self):
+        plan = RunPlan(phi_s_values=(math.pi / 4,), blocks=("none", "path1"))
         with pytest.raises(ContractViolation, match="one open, one path0 and one path1"):
-            duality_report([scans["none"], scans["none"], scans["path0"], scans["path1"]])
+            duality_report(plan, run_sweep(plan, mode="ideal"))
 
-    def test_block_interleaving_leaves_reports_unchanged(self):
-        # the i-th scan of each block is the i-th setting, however the blocks interleave
+    @pytest.mark.parametrize("shape", [(2, 3, 2, 32), (1, 3, 2, 31), (1, 3, 32), (3, 2, 32)])
+    def test_counts_of_another_shape_rejected(self, shape):
+        plan, _ = ideal_sweep(math.pi / 4)
+        with pytest.raises(ContractViolation, match=r"^counts need the plan's \(phi_s, block, detector, phi_x\) shape"):
+            duality_report(plan, np.ones(shape))
+
+    @pytest.mark.parametrize("value", [-1.0, math.nan, math.inf, -math.inf])
+    def test_bad_counts_rejected_first_in_plan_order(self, value):
+        # the message names the detector of the first bad cell in (phi_s, block, detector, phi_x) order
+        plan = RunPlan(phi_s_values=(0.3, 0.6), phi_x_grid=(0.0, 2.0 * math.pi, 16))
+        for (s, b, det, x), later in (((0, 2, 1, 9), (1, 0, 0, 0)), ((1, 0, 0, 3), (1, 0, 1, 0))):
+            counts = run_sweep(plan, mode="ideal")
+            counts[s, b, det, x] = counts[later] = value
+            with pytest.raises(ContractViolation, match=f"^n{det + 1} counts must be finite and nonnegative"):
+                duality_report(plan, counts)
+
+    def test_block_order_leaves_reports_unchanged(self):
+        # each block is read off the plan, so the order of the block axis changes nothing
         plan = RunPlan(phi_s_values=(0.0, 0.7, 0.7, math.pi / 2), pulses_per_point=4000, seed=5)
-        scans = run_sweep(plan)
-        want = _bits(duality_report(scans))
+        counts = run_sweep(plan)
+        want = _bits(duality_report(plan, counts))
         assert len(want) == 4
-        for key in (lambda s: BLOCKS.index(s.block), lambda s: -BLOCKS.index(s.block)):  # stable: each block keeps its order
-            assert _bits(duality_report(sorted(scans, key=key))) == want
-        assert _bits(duality_report(run_sweep(replace(plan, blocks=BLOCKS[::-1])))) == want
+        for blocks in (BLOCKS[::-1], ("path0", "none", "path1")):
+            reordered = replace(plan, blocks=blocks)
+            assert _bits(duality_report(reordered, run_sweep(reordered))) == want
+            by_hand = counts[:, [BLOCKS.index(b) for b in blocks]]
+            assert _bits(duality_report(reordered, by_hand)) == want
 
 
 def _scan_fields(**changes):
-    fields = dict(phi_s=0.0, block="none", phi_x=PHI_X_16[:4], n1=np.full(4, 2.0), n2=np.full(4, 3.0),
-                  pulses_per_point=10)
+    fields = dict(phi_x=PHI_X_16[:4], n1=np.full(4, 2.0), n2=np.full(4, 3.0))
     return {**fields, **changes}
 
 
@@ -322,7 +313,6 @@ def _with(name, i, value):
 
 # Each fault of FringeScan's contract, in the order the checks run, with its message.
 SCAN_FAULTS = [
-    ("bad_block", {"block": "path2"}, "block must be one of"),
     ("empty_scan", {"phi_x": [], "n1": [], "n2": []}, "scan needs at least one point"),
     ("unequal_lengths", {"n2": np.full(3, 3.0)}, "phi_x, n1, n2 must have equal lengths"),
     ("repeated_phi_x", _with("phi_x", 2, PHI_X_16[1]), "phi_x must be strictly increasing"),
@@ -330,7 +320,6 @@ SCAN_FAULTS = [
     *[(f"{name}_{label}", _with(name, 1, value), f"{name} counts must be finite and nonnegative")
       for name in ("n1", "n2")
       for label, value in (("negative", -1.0), ("nan", math.nan), ("inf", math.inf), ("minus_inf", -math.inf))],
-    ("negative_pulses", {"pulses_per_point": -1}, "pulses_per_point must be nonnegative"),
 ]
 
 
@@ -349,11 +338,11 @@ class TestScanValidation:
                     pairs += 1
                     with pytest.raises(ContractViolation, match=f"^{message}"):
                         FringeScan(**_scan_fields(**later, **first))
-        assert pairs > 40
+        assert pairs == 38
 
     def test_stores_read_only_float64_copies(self):
         phi_x, n1, n2 = PHI_X_16[:4].copy(), np.arange(4, dtype=np.int64), [1, 2, 3, 4]
-        s = FringeScan(0.0, "none", phi_x, n1, n2, 10)
+        s = FringeScan(phi_x, n1, n2)
         for stored in (s.phi_x, s.n1, s.n2):
             assert stored.dtype == np.float64 and not stored.flags.writeable
             with pytest.raises(ValueError):
@@ -363,14 +352,14 @@ class TestScanValidation:
         assert not np.shares_memory(s.phi_x, phi_x)
 
     def test_zero_d_inputs_become_one_point(self):
-        s = FringeScan(0.0, "path0", np.float64(0.5), np.array(3.0), 4, 10)
+        s = FringeScan(np.float64(0.5), np.array(3.0), 4)
         assert s.phi_x.shape == s.n1.shape == s.n2.shape == (1,)
         assert (s.phi_x[0], s.n1[0], s.n2[0]) == (0.5, 3.0, 4.0)
 
 
 class TestFlatnessAndFit:
     def test_flat_scan_passes(self):
-        s = scan(np.full(16, 40.0), np.full(16, 38.0), block="path0")
+        s = scan(np.full(16, 40.0), np.full(16, 38.0))
         assert flatness_check(s).flat
 
     def test_fringing_scan_fails(self):
@@ -379,7 +368,7 @@ class TestFlatnessAndFit:
         assert not flatness_check(s).flat
 
     def test_degenerate_one_sided_scan_passes(self):
-        s = scan(np.full(16, 40.0), np.zeros(16), block="path0")
+        s = scan(np.full(16, 40.0), np.zeros(16))
         check = flatness_check(s)
         assert check.flat and check.spread == 0.0
 
@@ -557,6 +546,21 @@ def _ref_duality_report(scan_open, scan_blocked_0, scan_blocked_1, k=1.0):
     )
 
 
+@dataclasses.dataclass(frozen=True)
+class _RefScan:
+    """One setting's scan at one block, the record the reference reads."""
+
+    phi_s: float
+    block: str
+    phi_x: np.ndarray
+    n1: np.ndarray
+    n2: np.ndarray
+
+    @property
+    def totals(self):
+        return self.n1 + self.n2
+
+
 def _outcome(compute):
     """What ``compute`` returns, or the type and message of the library error it raises."""
     try:
@@ -578,48 +582,59 @@ def _bits(x):
     return x
 
 
-def _in_block_order(triple):
-    """A setting's scans as (open, path0, path1), the roles duality_report reads off their labels."""
-    return sorted(triple, key=lambda s: BLOCKS.index(s.block))
+def assert_same_as_reference(settings, blocks=BLOCKS):
+    """duality_report over one plan of all settings gives what the reference gives setting by setting.
 
-
-def assert_same_as_reference(triples):
-    """duality_report over all settings, as one flat list, gives what the reference gives setting by setting."""
-    want = _outcome(lambda: [_ref_duality_report(*_in_block_order(t)) for t in triples])
-    got = _outcome(lambda: duality_report([scan for t in triples for scan in t]))
+    Each setting is (phi_s, its open, path0 and path1 (n1, n2) counts); the
+    plan's block axis runs in ``blocks`` order.
+    """
+    plan = RunPlan(phi_s_values=[phi_s for phi_s, _ in settings], blocks=blocks,
+                   phi_x_grid=(0.0, 2.0 * math.pi, settings[0][1].shape[-1]))
+    phi_x = plan.phi_x_values()
+    want = _outcome(lambda: [_ref_duality_report(*(_RefScan(phi_s, block, phi_x, *c) for block, c in zip(BLOCKS, counts)))
+                             for phi_s, counts in settings])
+    counts = np.array([[counts[BLOCKS.index(block)] for block in blocks] for _, counts in settings])
+    got = _outcome(lambda: duality_report(plan, counts))
     assert _bits(got) == _bits(want)
     assert got == want
     return got
 
 
 GRID_STEPS = (8, 9, 16, 33, 130)
-BROKEN = ("all_zero_open", "few_kept", "zero_path0", "zero_path1", "open_phi_s", "blocked_phi_s", "swapped_blocks")
+BROKEN = ("all_zero_open", "few_kept", "zero_path0", "zero_path1")
 
 
-def _triple(phi_s, steps, open_counts, b0_counts, b1_counts, pulses=1000):
-    x = np.linspace(0.0, 2.0 * math.pi, steps, endpoint=False)
-    return tuple(
-        FringeScan(phi_s=phi_s, block=block, phi_x=x, n1=n1, n2=n2, pulses_per_point=pulses)
-        for block, (n1, n2) in zip(BLOCKS, (open_counts, b0_counts, b1_counts))
-    )
+def _setting(phi_s, open_counts, b0_counts, b1_counts):
+    return phi_s, np.array([open_counts, b0_counts, b1_counts], dtype=float)
 
 
-def _sweep_triple(phi_s, steps, pulses, coherence, seed, mode):
+def _sweep_setting(phi_s, steps, pulses, coherence, seed, mode):
     plan = RunPlan(phi_s_values=(phi_s,), phi_x_grid=(0.0, 2.0 * math.pi, steps),
                    pulses_per_point=pulses, coherence=coherence, seed=seed)
-    by_block = {s.block: s for s in run_sweep(plan, mode=mode)}
-    return tuple(by_block[b] for b in BLOCKS)
+    return phi_s, run_sweep(plan, mode=mode)[0]
+
+
+def _broken(phi_s, counts, fault):
+    """A copy of a setting with one fault: an empty open scan, three kept open points, or an empty blocked scan."""
+    counts = counts.copy()
+    if fault == "all_zero_open":
+        counts[0] = 0.0
+    elif fault == "few_kept":
+        counts[0] = np.where(np.arange(counts.shape[-1]) < 3, counts[0] + 1.0, 0.0)
+    else:
+        counts[BLOCKS.index(fault.removeprefix("zero_"))] = 0.0
+    return phi_s, counts
 
 
 @st.composite
 def setting(draw, steps):
-    """The open, path0 and path1 scans of one phi_s: sampled, ideal, drawn counts, or broken."""
+    """The open, path0 and path1 counts of one phi_s: sampled, ideal, drawn counts, or broken."""
     kind = draw(st.sampled_from(("montecarlo", "montecarlo", "ideal", "counts", "counts", "broken")))
     phi_s = draw(st.sampled_from((0.0, math.pi / 4, math.pi / 2)) | st.floats(0.0, math.pi))
     if kind in ("montecarlo", "ideal"):
         pulses = draw(st.sampled_from((20, 200, 4000, 120_000)) if kind == "montecarlo" else st.integers(1, 10**7))
         coherence = draw(st.sampled_from((0.0, 0.5, 0.967, 1.0)))
-        return _sweep_triple(phi_s, steps, pulses, coherence, draw(st.integers(0, 2**32)), kind)
+        return _sweep_setting(phi_s, steps, pulses, coherence, draw(st.integers(0, 2**32)), kind)
     rng = np.random.default_rng(draw(st.integers(0, 2**32)))  # drawing each count would make the test slow
     top = draw(st.sampled_from((2, 5, 1000)))
     counts = lambda: rng.integers(0, top + 1, size=steps).astype(float)  # noqa: E731
@@ -628,37 +643,22 @@ def setting(draw, steps):
     for _ in range(2):
         n1, shape = counts(), draw(st.sampled_from(("one_sided", "balanced", "drawn")))
         blocked.append((n1, np.zeros(steps) if shape == "one_sided" else n1 if shape == "balanced" else counts()))
-    if kind == "counts":
-        return _triple(phi_s, steps, open_counts, *blocked)
-    fault = draw(st.sampled_from(BROKEN))
-    zero = (np.zeros(steps), np.zeros(steps))
-    if fault == "all_zero_open":
-        open_counts = zero
-    elif fault == "few_kept":
-        open_counts = tuple(np.where(np.arange(steps) < 3, c + 1.0, 0.0) for c in open_counts)
-    elif fault in ("zero_path0", "zero_path1"):
-        blocked[fault == "zero_path1"] = zero
-    scans = _triple(phi_s, steps, open_counts, *blocked)
-    if fault == "open_phi_s":
-        scans = (replace(scans[0], phi_s=phi_s + 0.1),) + scans[1:]
-    elif fault == "blocked_phi_s":
-        scans = scans[:2] + (replace(scans[2], phi_s=phi_s + 0.1),)
-    elif fault == "swapped_blocks":
-        scans = (scans[0], scans[2], scans[1])
-    return scans
+    good = _setting(phi_s, open_counts, *blocked)
+    return good if kind == "counts" else _broken(*good, draw(st.sampled_from(BROKEN)))
 
 
 @st.composite
-def settings_of_one_grid(draw):
+def settings_of_one_plan(draw):
+    """Up to five settings on one phi_x grid, and the order of the plan's block axis."""
     steps = draw(st.sampled_from(GRID_STEPS))
-    return draw(st.lists(setting(steps), min_size=1, max_size=5))
+    return draw(st.lists(setting(steps), min_size=1, max_size=5)), draw(st.permutations(BLOCKS))
 
 
 class TestArrayPassMatchesReference:
     @settings(max_examples=200, deadline=None, derandomize=True)  # the same examples on every run
-    @given(triples=settings_of_one_grid())
-    def test_every_field_and_error(self, triples):
-        assert_same_as_reference(triples)
+    @given(case=settings_of_one_plan())
+    def test_every_field_and_error(self, case):
+        assert_same_as_reference(*case)
 
     def test_edge_branches(self):
         flat = np.full(32, 50.0)
@@ -668,17 +668,16 @@ class TestArrayPassMatchesReference:
         dark_min = flat.copy(), flat.copy()
         dark_min[0][7] = 0.0  # detector 1 dark at the minimum: V = 1
         one_sided, balanced = (flat, np.zeros(32)), (flat, flat)
-        triples = [
-            _triple(0.3, 32, peak_low, one_sided, one_sided),  # V < 0 (clamped), D = 1
-            _triple(0.6, 32, dark_min, balanced, balanced),  # V = 1 (slope-0 branch), D = 0
+        cases = [
+            _setting(0.3, peak_low, one_sided, one_sided),  # V < 0 (clamped), D = 1
+            _setting(0.6, dark_min, balanced, balanced),  # V = 1 (slope-0 branch), D = 0
         ]
         # the low-count sweep of the edge golden: 4000 pulses per point, coherence 0, seed 3
         plan = RunPlan(phi_s_values=(0.0, math.pi / 4, math.pi / 2), pulses_per_point=4000, coherence=0.0, seed=3)
-        scans = run_sweep(plan)
-        triples += [tuple(scans[i:i + len(BLOCKS)]) for i in range(0, len(scans), len(BLOCKS))]
+        cases += list(zip(plan.phi_s_values, run_sweep(plan)))
         # an ideal setting whose V sigma moves in the last bit if the squares multiply instead of calling pow
-        triples.append(_sweep_triple(0.9040558713560102, 32, 120_000, 1.0, 0, "ideal"))
-        reports = assert_same_as_reference(triples)
+        cases.append(_sweep_setting(0.9040558713560102, 32, 120_000, 1.0, 0, "ideal"))
+        reports = assert_same_as_reference(cases)
         assert reports[0].formula.clamped_v and reports[0].distinguishability.value == 1.0
         assert reports[1].visibility.value == 1.0 and reports[1].formula.h_max_sigma == 0.0
         assert reports[1].distinguishability.value == 0.0
@@ -686,29 +685,12 @@ class TestArrayPassMatchesReference:
         assert sum(r.formula.dropped_points for r in reports[2:5]) == 14
         assert [r.visibility.value for r in reports[2:5]] == [1.0, 0.5, 1.0]
 
-    @pytest.mark.parametrize("faults", [("zero_path1", "open_phi_s"), ("open_phi_s", "zero_path1"),
-                                        ("swapped_blocks", "all_zero_open"), ("few_kept", "blocked_phi_s")])
-    def test_first_failing_setting_raises(self, faults):
-        good = _sweep_triple(math.pi / 4, 16, 120_000, 0.967, 1, "montecarlo")
-        broken = []
-        for fault in faults:
-            o, b0, b1 = (s for s in good)
-            if fault == "zero_path1":
-                b1 = replace(b1, n1=np.zeros(16), n2=np.zeros(16))
-            elif fault == "open_phi_s":
-                o = replace(o, phi_s=1.0)
-            elif fault == "swapped_blocks":
-                b0, b1 = b1, b0
-            elif fault == "all_zero_open":
-                o = replace(o, n1=np.zeros(16), n2=np.zeros(16))
-            elif fault == "few_kept":
-                o = replace(o, n1=np.where(np.arange(16) < 3, o.n1, 0.0), n2=np.where(np.arange(16) < 3, o.n2, 0.0))
-            elif fault == "blocked_phi_s":
-                b1 = replace(b1, phi_s=1.0)
-            broken.append((o, b0, b1))
-        triples = [good, broken[0], good, broken[1]]
-        first, second = (_outcome(lambda t=t: _ref_duality_report(*_in_block_order(t))) for t in broken)
-        # labels fix the roles, so swapped blocked scans are no fault and the second setting's error is raised
-        assert isinstance(first, tuple) != ("swapped_blocks" in faults)
-        assert isinstance(second, tuple) and first != second
-        assert assert_same_as_reference(triples) == (second if "swapped_blocks" in faults else first)
+    @pytest.mark.parametrize("blocks", [BLOCKS, ("path1", "none", "path0")], ids=["blocks_in_order", "blocks_permuted"])
+    @pytest.mark.parametrize("faults", [("zero_path1", "all_zero_open"), ("all_zero_open", "zero_path1"),
+                                        ("few_kept", "zero_path0"), ("zero_path0", "few_kept")], ids="-".join)
+    def test_first_failing_setting_raises(self, faults, blocks):
+        good = _sweep_setting(math.pi / 4, 16, 120_000, 0.967, 1, "montecarlo")
+        broken = [_broken(*good, fault) for fault in faults]
+        first, second = (assert_same_as_reference([case], blocks) for case in broken)
+        assert isinstance(first, tuple) and isinstance(second, tuple) and first != second
+        assert assert_same_as_reference([good, broken[0], good, broken[1]], blocks) == first

@@ -109,3 +109,28 @@ def test_report_digests(name, tmp_path, capsys):
     report = json.loads((tmp_path / "report.json").read_text())
     blob = json.dumps({k: report[k] for k in REPORT_KEYS}, sort_keys=True)
     assert hashlib.sha256(blob.encode()).hexdigest() == REPORT_DIGESTS[name], f"{name}/report.json changed"
+
+
+# The reference sweep with its block axis reversed: fringes.csv lists each phi_s's scans in the new order, while
+# the substreams (keyed by each block's index in BLOCKS) and so duality.csv and the scorecard stay those of the
+# reference sweep.  Pinned before the counts became one (phi_s, block, detector, phi_x) array, this guards the plan
+# order of the block axis through every reshape.
+REVERSED_BLOCKS_DIGESTS = {
+    "fringes.csv": "102160f33cac9472fa09f2be0f5e3d5faec052c2d7d0a40086e482be4241119e",
+    "duality.csv": GOLDENS["reference_sweep"][1]["duality.csv"],
+    "report.json": REPORT_DIGESTS["reference_sweep"],
+}
+
+
+def test_reversed_blocks_digests(tmp_path, capsys):
+    raw = json.loads((REPO / "configs" / "reference_sweep.json").read_text())
+    raw["plan"]["blocks"] = raw["plan"]["blocks"][::-1]
+    config = tmp_path / "reversed.json"
+    config.write_text(json.dumps(raw))
+    assert main(["sweep", "--config", str(config), "--out", str(tmp_path / "out")]) == EXIT_OK
+    capsys.readouterr()
+    report = json.loads((tmp_path / "out" / "report.json").read_text())
+    got = {artifact: hashlib.sha256((tmp_path / "out" / artifact).read_bytes()).hexdigest()
+           for artifact in ("fringes.csv", "duality.csv")}
+    got["report.json"] = hashlib.sha256(json.dumps({k: report[k] for k in REPORT_KEYS}, sort_keys=True).encode()).hexdigest()
+    assert got == REVERSED_BLOCKS_DIGESTS

@@ -1,5 +1,7 @@
+import itertools
 import math
 import threading
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -37,15 +39,6 @@ from dualitysim.optics import BLOCKS, open_p1
 
 SRC = SourceConfig()
 DET = DetectorConfig()
-
-
-def scans_equal(a, b):
-    return (
-        a.phi_s == b.phi_s
-        and a.block == b.block
-        and np.array_equal(a.n1, b.n1)
-        and np.array_equal(a.n2, b.n2)
-    )
 
 
 class TestClickModel:
@@ -158,45 +151,61 @@ class TestPhotonStatistics:
 
 
 class TestRunSweep:
-    def test_scan_per_setting(self):
-        plan = RunPlan(phi_s_values=(0.0, 1.0), blocks=("none", "path1"), seed=1)
-        scans = run_sweep(plan, SRC, DET)
-        assert len(scans) == 4
-        assert {(s.phi_s, s.block) for s in scans} == {(0.0, "none"), (0.0, "path1"), (1.0, "none"), (1.0, "path1")}
+    def test_counts_in_plan_order(self):
+        # one (n1, n2) row pair per (phi_s, block), in the plan's order of both axes
+        plan = RunPlan(phi_s_values=(0.0, 1.0), blocks=("path1", "none"), seed=1)
+        counts = run_sweep(plan, SRC, DET)
+        assert counts.dtype == np.float64 and counts.shape == (2, 2, 2, 32)
+        ideal = run_sweep(plan, SRC, DET, mode=IDEAL_MODE)
+        for (s, phi_s), (b, block) in itertools.product(enumerate(plan.phi_s_values), enumerate(plan.blocks)):
+            want = plan.pulses_per_point * raw_probs(plan.phi_x_values(), phi_s, block, 1.0)
+            assert ideal[s, b].tobytes() == want.tobytes()
 
     def test_deterministic_across_runs(self):
         plan = RunPlan(phi_s_values=(0.0, 0.9, math.pi / 2), seed=77, pulses_per_point=50_000)
-        once = run_sweep(plan, SRC, DET)
-        again = run_sweep(plan, SRC, DET)
-        for a, b in zip(once, again):
-            assert scans_equal(a, b)
+        assert run_sweep(plan, SRC, DET).tobytes() == run_sweep(plan, SRC, DET).tobytes()
 
     def test_rows_match_per_cell_sampling(self):
         # the row evaluation keeps the per-cell contract: cell (b, s, x) is
         # simulate_point on numpy's own SeedSequence substream, D1 drawn before D2
         plan = RunPlan(phi_s_values=(0.0, 0.7, math.pi / 2), seed=31, pulses_per_point=40_000, coherence=0.9)
         noisy = DetectorConfig(dark_prob=1e-4)
-        for scan in run_sweep(plan, SRC, noisy):
-            b_idx, s_idx = BLOCKS.index(scan.block), plan.phi_s_values.index(scan.phi_s)
-            for x_idx, (phi_x, n1, n2) in enumerate(zip(scan.phi_x.tolist(), scan.n1.tolist(), scan.n2.tolist())):
-                cfg = CircuitConfig(phi_x, scan.phi_s, block=scan.block, coherence=0.9)
+        counts = run_sweep(plan, SRC, noisy)
+        for (s_idx, phi_s), block in itertools.product(enumerate(plan.phi_s_values), plan.blocks):
+            b_idx = BLOCKS.index(block)
+            for x_idx, phi_x in enumerate(plan.phi_x_values().tolist()):
+                cfg = CircuitConfig(phi_x, phi_s, block=block, coherence=0.9)
                 ss = np.random.SeedSequence(plan.seed, spawn_key=(b_idx, s_idx, x_idx))
                 rng = np.random.Generator(np.random.PCG64(ss))
+                n1, n2 = counts[s_idx, plan.blocks.index(block), :, x_idx].tolist()
                 assert (n1, n2) == simulate_point(cfg, SRC, noisy, plan.pulses_per_point, rng)
 
     def test_cell_counts_independent_of_plan_shape(self):
         # a sub-plan sharing the seed reproduces the same cells
         full = RunPlan(phi_s_values=(0.3, 0.8), seed=5, pulses_per_point=30_000)
         sub = RunPlan(phi_s_values=(0.3, 0.8), blocks=("path1",), seed=5, pulses_per_point=30_000)
-        full_scans = {(s.phi_s, s.block): s for s in run_sweep(full, SRC, DET)}
-        for s in run_sweep(sub, SRC, DET):
-            assert scans_equal(s, full_scans[(s.phi_s, s.block)])
+        assert run_sweep(sub, SRC, DET)[:, 0].tobytes() == run_sweep(full, SRC, DET)[:, 2].tobytes()
 
     def test_ideal_mode_matches_raw_probabilities(self):
         plan = RunPlan(phi_s_values=(0.5,), pulses_per_point=1000, coherence=1.0, seed=0)
-        scans = {s.block: s for s in run_sweep(plan, mode=IDEAL_MODE)}
-        assert abs(scans["none"].n1[0] - 500.0) < 1e-9  # phi_x = 0: balanced
-        assert abs(scans["path0"].totals[0] - 500.0) < 1e-9  # half the mass blocked
+        counts = run_sweep(plan, mode=IDEAL_MODE)
+        assert abs(counts[0, 0, 0, 0] - 500.0) < 1e-9  # open, phi_x = 0: balanced
+        assert abs(counts[0, 1, :, 0].sum() - 500.0) < 1e-9  # path0: half the mass blocked
+
+    def test_memory_stays_bounded(self):
+        # 49,152 Monte Carlo cells: the cells become Python lists one phi_x row
+        # at a time, so the peak is the plan's substream words and counts plus
+        # one row; turning every cell into lists at once peaks about 3.5x higher
+        plan = RunPlan(phi_s_values=tuple(np.linspace(0.0, math.pi / 2, 16)), phi_x_grid=(0.0, 2 * math.pi, 1024),
+                       pulses_per_point=1000, seed=1)
+        tracemalloc.start()
+        try:
+            counts = run_sweep(plan, SRC, DET)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert counts.shape == (16, 3, 2, 1024)
+        assert peak < 6.3e6  # 1.5x the 4.2 MB this plan peaked at before the sweep returned one array
 
     def test_mode_coherence_defaults(self):
         plan = RunPlan(phi_s_values=(0.5,))
@@ -207,8 +216,7 @@ class TestRunSweep:
 
     def test_zero_pulse_plan(self):
         plan = RunPlan(phi_s_values=(0.5,), pulses_per_point=0, seed=0)
-        scans = run_sweep(plan, SRC, DET)
-        assert all(s.totals.sum() == 0 for s in scans)
+        assert not run_sweep(plan, SRC, DET).any()
 
     def test_sampled_visibility_tracks_loop_phase(self):
         # mirror setting shows no fringe beyond noise; balanced setting shows
@@ -218,25 +226,24 @@ class TestRunSweep:
         plan = RunPlan(
             phi_s_values=(0.0, math.pi / 2), coherence=1.0, pulses_per_point=100_000, seed=5,
         )
-        scans = run_sweep(plan, SRC, DET)
+        counts = run_sweep(plan, SRC, DET)
         # substreams are keyed by block, not by plan position: the blocked
         # settings leave the open counts as an open-only plan draws them
         open_only = run_sweep(replace(plan, blocks=("none",)), SRC, DET)
-        for alone, among in zip(open_only, (s for s in scans if s.block == "none")):
-            assert alone.n1.tobytes() == among.n1.tobytes() and alone.n2.tobytes() == among.n2.tobytes()
-        flat, full = (rep.visibility for rep in duality_report(scans))
+        assert open_only[:, 0].tobytes() == counts[:, 0].tobytes()
+        flat, full = (rep.visibility for rep in duality_report(plan, counts))
         assert flat.value < 3 * flat.sigma
         assert abs(full.value - 1.0) <= 3 * full.sigma
 
     def test_sampled_blocked_scan_is_flat(self):
-        from dualitysim.estimators import flatness_check
+        from dualitysim.estimators import FringeScan, flatness_check
 
         plan = RunPlan(
             phi_s_values=(math.pi / 2,), blocks=("path0",), coherence=1.0,
             pulses_per_point=100_000, seed=3,
         )
-        (blocked,) = run_sweep(plan, SRC, DET)
-        assert flatness_check(blocked).flat
+        [[blocked]] = run_sweep(plan, SRC, DET)
+        assert flatness_check(FringeScan(plan.phi_x_values(), *blocked)).flat
 
     def test_plan_validation(self):
         with pytest.raises(ContractViolation):
