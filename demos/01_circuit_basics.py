@@ -3,21 +3,13 @@
 
 Shows the element matrices, how the Sagnac loop phase tunes the recombiner
 from a mirror to a balanced splitter, and that the matrix route reproduces
-the closed-form detection probabilities at any setting.
+the closed-form detection probabilities at any setting and any coherence.
 """
 import math
 
 import numpy as np
 
-from dualitysim import (
-    CircuitConfig,
-    circuit_output_state,
-    detection_probs_blocked,
-    detection_probs_closed_form,
-    sagnac_effective,
-    standard_elements,
-    state_detection_probs,
-)
+from dualitysim import matrix_probs, raw_probs, sagnac_effective, standard_elements
 
 np.set_printoptions(precision=4, suppress=True)
 
@@ -31,16 +23,15 @@ for phi_s, label in ((0.0, "mirror"), (math.pi / 4, "intermediate"), (math.pi / 
     t = sagnac_effective(phi_s)
     print(f"  phi_s = {phi_s:.3f} ({label}): |T| =\n", np.abs(t.matrix))
 
-print("\nmatrix route vs closed form, phi_x swept at phi_s = pi/2:")
-print(f"{'phi_x':>8} {'p1 matrix':>10} {'p1 closed':>10}")
-for phi_x in np.linspace(0.0, 2 * math.pi, 9):
-    cfg = CircuitConfig(float(phi_x), math.pi / 2)
-    matrix = state_detection_probs(circuit_output_state(cfg))
-    closed = detection_probs_closed_form(cfg)
-    print(f"{phi_x:8.3f} {matrix.p1:10.6f} {closed.p1:10.6f}")
+phi_x = np.linspace(0.0, 2 * math.pi, 9)
+for gamma in (1.0, 0.967):
+    print(f"\nmatrix route vs closed form, phi_x swept at phi_s = pi/2, coherence {gamma}:")
+    print(f"{'phi_x':>8} {'p1 matrix':>10} {'p1 closed':>10}")
+    matrix, closed = matrix_probs(phi_x, math.pi / 2, coherence=gamma), raw_probs(phi_x, math.pi / 2, coherence=gamma)
+    for x, p_matrix, p_closed in zip(phi_x, matrix[0], closed[0]):
+        print(f"{x:8.3f} {p_matrix:10.6f} {p_closed:10.6f}")
 
 print("\nblocking a path kills the phi_x dependence:")
 for block in ("path0", "path1"):
-    cfg = CircuitConfig(0.0, math.pi / 3, block=block)
-    probs = detection_probs_blocked(cfg)
-    print(f"  {block} blocked at phi_s = pi/3: conditional (p1, p2) = ({probs.p1:.4f}, {probs.p2:.4f})")
+    p1, p2 = 2.0 * raw_probs(0.0, math.pi / 3, block)  # the raw pair is half the conditional one
+    print(f"  {block} blocked at phi_s = pi/3: conditional (p1, p2) = ({p1:.4f}, {p2:.4f})")

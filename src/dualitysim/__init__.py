@@ -58,19 +58,13 @@ from .optics import (
     BLOCK_PATH1,
     BLOCKS,
     CircuitConfig,
-    DetectionProbs,
-    circuit_output_state,
-    detection_probs_blocked,
-    detection_probs_closed_form,
-    detector_ports,
-    fringe_extrema,
+    matrix_probs,
     open_p1,
     path_blocker,
     raw_detection_probs,
     raw_probs,
     sagnac_effective,
     standard_elements,
-    state_detection_probs,
 )
 from .states import (
     OpticalElement,

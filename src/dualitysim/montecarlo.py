@@ -40,7 +40,7 @@ from dataclasses import astuple, dataclass
 import numpy as np
 
 from .errors import ContractViolation
-from .optics import BLOCKS, CircuitConfig, open_p1, raw_detection_probs, raw_probs
+from .optics import BLOCKS, CircuitConfig, check_coherence, open_p1, raw_detection_probs, raw_probs
 
 IDEAL_MODE = "ideal"
 MONTECARLO_MODE = "montecarlo"
@@ -120,12 +120,6 @@ def _check_seed(seed) -> None:
         raise ContractViolation("seed must be a 64-bit unsigned integer")
 
 
-def _check_coherence(coherence) -> None:
-    """Raise ContractViolation unless the coherence lies in [0, 1] (NaN does not)."""
-    if not 0.0 <= coherence <= 1.0:
-        raise ContractViolation("coherence must lie in [0, 1]")
-
-
 @dataclass(frozen=True)
 class RunPlan:
     """A full sweep: phi_s values, phi_x grid, block settings, statistics, seed.
@@ -173,7 +167,7 @@ class RunPlan:
         if len(self.phi_s_values) * len(self.blocks) * int(steps) > MAX_SWEEP_CELLS:
             raise ContractViolation(f"phi_s values x blocks x phi_x steps exceeds {MAX_SWEEP_CELLS} cells")
         if self.coherence is not None:
-            _check_coherence(self.coherence)
+            check_coherence(self.coherence)
         _check_seed(self.seed)
 
     @np.errstate(over="ignore", invalid="ignore")  # an overflowing grid is rejected, not warned about
@@ -246,7 +240,7 @@ def click_probs(p_raw, source: SourceConfig, detector: DetectorConfig):
 
 def click_probabilities(cfg: CircuitConfig, source: SourceConfig, detector: DetectorConfig):
     """Per-pulse click probability (c1, c2) at each detector for one circuit setting."""
-    c1, c2 = click_probs(raw_detection_probs(cfg).as_tuple, source, detector)
+    c1, c2 = click_probs(raw_detection_probs(cfg), source, detector)
     return float(c1), float(c2)
 
 
@@ -470,7 +464,7 @@ def run_dynamic_switch(plan: SwitchPlan, source: SourceConfig, detector: Detecto
     what evaluating the model on all pulses gives.
     """
     _check_seed(seed)
-    _check_coherence(coherence)
+    check_coherence(coherence)
     n_bins, pulses_per_bin = plan.pulses(source)
     n_pulses = n_bins * pulses_per_bin
     counts = np.zeros(2 * n_bins, dtype=np.int64)

@@ -14,21 +14,19 @@ import numpy as np
 
 from dualitysim import (
     BLOCK_NONE,
-    CircuitConfig,
+    BLOCKS,
     FringeScan,
     RunPlan,
-    circuit_output_state,
-    detection_probs_blocked,
-    detection_probs_closed_form,
     duality_report,
     h_max_binary,
     h_max_from_visibility,
     h_max_guessing_bound,
     h_min_binary,
     h_min_from_distinguishability,
+    matrix_probs,
     multi_photon_fraction,
+    raw_probs,
     run_sweep,
-    state_detection_probs,
     visibility_from_guessing,
     wpdr_check,
 )
@@ -92,27 +90,28 @@ def test_criterion_2_ideal_saturation():
 
 
 def test_criterion_3_matrix_vs_closed_form():
-    """Matrix-product probabilities match the closed forms on a 32x32 grid."""
+    """Matrix-product probabilities match the closed forms at any coherence.
+
+    Over a 32x32 grid, every block setting and coherence 1, 0.967 (the
+    device's), 0.5 and 0, and on 2,000 seeded random settings.
+    """
     t0 = time.time()
     grid = np.linspace(0.0, 2.0 * math.pi, 32, endpoint=False)
     worst = 0.0
-    for phi_x in grid:
-        for phi_s in grid:
-            cfg = CircuitConfig(float(phi_x), float(phi_s))
-            got = state_detection_probs(circuit_output_state(cfg))
-            want = detection_probs_closed_form(cfg)
-            worst = max(worst, abs(got.p1 - want.p1), abs(got.p2 - want.p2))
-            for block in ("path0", "path1"):
-                cfgb = CircuitConfig(float(phi_x), float(phi_s), block=block)
-                gotb = state_detection_probs(circuit_output_state(cfgb))
-                wantb = detection_probs_blocked(cfgb)
-                worst = max(worst, abs(gotb.p1 - wantb.p1), abs(gotb.p2 - wantb.p2))
+    for coherence, phi_s, block in itertools.product((1.0, 0.967, 0.5, 0.0), grid, BLOCKS):
+        got = matrix_probs(grid, float(phi_s), block, coherence)
+        worst = max(worst, np.abs(got - raw_probs(grid, float(phi_s), block, coherence)).max())
+    rng = np.random.default_rng(20240103)
+    draws = zip(rng.uniform(-10.0, 10.0, (2000, 2)).tolist(), rng.integers(0, 3, 2000), rng.uniform(0.0, 1.0, 2000))
+    for (phi_x, phi_s), b, coherence in draws:
+        got = matrix_probs(phi_x, phi_s, BLOCKS[b], coherence)
+        worst = max(worst, np.abs(got - raw_probs(phi_x, phi_s, BLOCKS[b], coherence)).max())
     elapsed = time.time() - t0
     assert worst < 1e-12
     assert elapsed < 1.0
     print(
         f"\nACCEPTANCE 3 matrix vs closed form: PASS "
-        f"(32x32 grid, 3 block settings, max err={worst:.2e}, {elapsed:.2f}s)"
+        f"(32x32 grid, 3 block settings, 4 coherences, 2000 random settings, max err={worst:.2e}, {elapsed:.2f}s)"
     )
 
 

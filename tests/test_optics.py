@@ -10,26 +10,16 @@ from dualitysim import (
     BLOCKS,
     CircuitConfig,
     ContractViolation,
-    born_probabilities,
-    circuit_output_state,
-    detection_probs_blocked,
-    detection_probs_closed_form,
-    detector_ports,
-    fringe_extrema,
+    matrix_probs,
     path_blocker,
     raw_detection_probs,
     raw_probs,
     sagnac_effective,
     standard_elements,
-    state_detection_probs,
 )
 
 INV_SQRT2 = 1.0 / math.sqrt(2.0)
-
-
-def matrix_route_probs(phi_x, phi_s, block=BLOCK_NONE, conditional=True):
-    state = circuit_output_state(CircuitConfig(phi_x, phi_s, block=block))
-    return state_detection_probs(state, conditional=conditional)
+ROUTES = {"raw_probs": raw_probs, "matrix_probs": matrix_probs}
 
 
 class TestStandardElements:
@@ -72,125 +62,105 @@ class TestSagnacEffective:
 
 class TestClosedForms:
     def test_full_constructive_point(self):
-        p = detection_probs_closed_form(CircuitConfig(math.pi / 2, math.pi / 2))
-        assert abs(p.p1 - 1.0) < 1e-12 and abs(p.p2) < 1e-12
+        p1, p2 = raw_probs(math.pi / 2, math.pi / 2)
+        assert abs(p1 - 1.0) < 1e-12 and abs(p2) < 1e-12
 
     def test_mirror_mode_no_interference(self):
-        for phi_x in (0.0, 0.7, math.pi, 5.1):
-            p = detection_probs_closed_form(CircuitConfig(phi_x, 0.0))
-            assert abs(p.p1 - 0.5) < 1e-12
+        p1, _ = raw_probs(np.array([0.0, 0.7, math.pi, 5.1]), 0.0)
+        assert np.abs(p1 - 0.5).max() < 1e-12
 
     def test_reduced_contrast(self):
-        p = detection_probs_closed_form(CircuitConfig(math.pi / 2, math.pi / 2, coherence=0.967))
-        assert abs(p.p1 - 0.9835) < 1e-12
-        assert abs(p.p2 - 0.0165) < 1e-12
-
-    def test_block_precondition(self):
-        with pytest.raises(ContractViolation):
-            detection_probs_closed_form(CircuitConfig(0, 0, block=BLOCK_PATH0))
+        p1, p2 = raw_probs(math.pi / 2, math.pi / 2, coherence=0.967)
+        assert abs(p1 - 0.9835) < 1e-12
+        assert abs(p2 - 0.0165) < 1e-12
 
 
 class TestBlockedForms:
+    """Blocked raw pairs are half the conditional pair (cos^2, sin^2)(phi_s/2), swapped for path0."""
+
     def test_path1_mirror(self):
-        p = detection_probs_blocked(CircuitConfig(0.3, 0.0, block=BLOCK_PATH1))
-        assert abs(p.p1 - 1.0) < 1e-12
+        p1, _ = 2.0 * raw_probs(0.3, 0.0, BLOCK_PATH1)
+        assert abs(p1 - 1.0) < 1e-12
 
     def test_path1_balanced(self):
-        p = detection_probs_blocked(CircuitConfig(0.0, math.pi / 2, block=BLOCK_PATH1))
-        assert abs(p.p1 - 0.5) < 1e-12
+        p1, _ = 2.0 * raw_probs(0.0, math.pi / 2, BLOCK_PATH1)
+        assert abs(p1 - 0.5) < 1e-12
 
     def test_path0_mirror_swapped(self):
-        p = detection_probs_blocked(CircuitConfig(0.0, 0.0, block=BLOCK_PATH0))
-        assert abs(p.p1) < 1e-12 and abs(p.p2 - 1.0) < 1e-12
+        p1, p2 = 2.0 * raw_probs(0.0, 0.0, BLOCK_PATH0)
+        assert abs(p1) < 1e-12 and abs(p2 - 1.0) < 1e-12
 
     def test_raw_is_half(self):
-        cond = detection_probs_blocked(CircuitConfig(0.2, 1.1, block=BLOCK_PATH1), conditional=True)
-        raw = detection_probs_blocked(CircuitConfig(0.2, 1.1, block=BLOCK_PATH1), conditional=False)
-        assert abs(raw.p1 - 0.5 * cond.p1) < 1e-15
-        assert abs(raw.p2 - 0.5 * cond.p2) < 1e-15
-        assert not raw.conditional
-
-    def test_open_precondition(self):
-        with pytest.raises(ContractViolation):
-            detection_probs_blocked(CircuitConfig(0, 0))
+        raw = raw_probs(0.2, 1.1, BLOCK_PATH1)
+        assert np.abs(raw - 0.5 * np.array([math.cos(0.55) ** 2, math.sin(0.55) ** 2])).max() < 1e-15
 
 
 class TestMatrixRoute:
     def test_detector_pinning(self):
-        assert detector_ports() == (1, 0)
+        assert np.abs(matrix_probs(math.pi / 2, math.pi / 2) - [1.0, 0.0]).max() < 1e-12
 
     def test_balanced_zero_phases(self):
-        p = matrix_route_probs(0.0, 0.0)
-        assert abs(p.p1 - 0.5) < 1e-12
+        p1, _ = matrix_probs(0.0, 0.0)
+        assert abs(p1 - 0.5) < 1e-12
 
     def test_full_constructive(self):
-        p = matrix_route_probs(math.pi / 2, math.pi / 2)
-        assert abs(p.p1 - 1.0) < 1e-12
+        for gamma in (1.0, 0.967, 0.5, 0.0):
+            p1, p2 = matrix_probs(math.pi / 2, math.pi / 2, coherence=gamma)
+            assert abs(p1 - 0.5 * (1.0 + gamma)) < 1e-12 and abs(p2 - 0.5 * (1.0 - gamma)) < 1e-12
 
-    def test_blocked_half_norm(self):
+    @pytest.mark.parametrize("route", sorted(ROUTES))
+    def test_blocked_half_norm(self, route):
         for block in (BLOCK_PATH0, BLOCK_PATH1):
-            state = circuit_output_state(CircuitConfig(0.9, 1.3, block=block))
-            assert abs(state.norm_sq - 0.5) < 1e-12
+            for gamma in (1.0, 0.967, 0.5, 0.0):
+                assert abs(ROUTES[route](0.9, 1.3, block, gamma).sum() - 0.5) < 1e-12
 
-    def test_requires_pure_state(self):
-        with pytest.raises(ContractViolation):
-            circuit_output_state(CircuitConfig(0.0, 0.0, coherence=0.9))
+    def test_dephased_state_matches_closed_form(self):
+        for block in BLOCKS:
+            got, want = matrix_probs(0.4, 0.9, block, 0.9), raw_probs(0.4, 0.9, block, 0.9)
+            assert np.abs(got - want).max() < 1e-12
 
     def test_agrees_with_closed_forms_on_grid(self):
         # compact grid here; the acceptance suite runs the full 32x32 version
         grid = np.linspace(0, 2 * math.pi, 8, endpoint=False)
-        for phi_x in grid:
-            for phi_s in grid:
-                open_probs = matrix_route_probs(phi_x, phi_s)
-                closed = detection_probs_closed_form(CircuitConfig(phi_x, phi_s))
-                assert abs(open_probs.p1 - closed.p1) < 1e-12
-                for block in (BLOCK_PATH0, BLOCK_PATH1):
-                    got = matrix_route_probs(phi_x, phi_s, block=block)
-                    want = detection_probs_blocked(CircuitConfig(phi_x, phi_s, block=block))
-                    assert abs(got.p1 - want.p1) < 1e-12
-                    raw_got = matrix_route_probs(phi_x, phi_s, block=block, conditional=False)
-                    raw_want = detection_probs_blocked(
-                        CircuitConfig(phi_x, phi_s, block=block), conditional=False
-                    )
-                    assert abs(raw_got.p1 - raw_want.p1) < 1e-12
+        for phi_s in grid:
+            for block in BLOCKS:
+                for gamma in (1.0, 0.967):
+                    got = matrix_probs(grid, float(phi_s), block, gamma)
+                    assert np.abs(got - raw_probs(grid, float(phi_s), block, gamma)).max() < 1e-12
 
     def test_blocked_independent_of_phi_x(self):
         for block in (BLOCK_PATH0, BLOCK_PATH1):
-            probs = [
-                matrix_route_probs(phi_x, 0.8, block=block).p1
-                for phi_x in np.linspace(0, 2 * math.pi, 40)
-            ]
-            assert max(probs) - min(probs) < 1e-12
+            for gamma in (1.0, 0.5):
+                p1, _ = matrix_probs(np.linspace(0, 2 * math.pi, 40), 0.8, block, gamma)
+                assert np.ptp(p1) < 1e-12
 
 
 class TestArrayRoute:
     def test_rows_agree_with_matrix_route(self):
-        phi_x = np.linspace(0, 2 * math.pi, 16, endpoint=False)
-        for phi_s in (0.0, 0.7, math.pi / 2):
-            for block in BLOCKS:
-                p = raw_probs(phi_x, phi_s, block)
-                assert p.shape == (2, phi_x.size)
-                for x, pair in zip(phi_x, p.T):
-                    want = matrix_route_probs(x, phi_s, block=block, conditional=False)
-                    assert np.allclose(pair, want.as_tuple, rtol=0.0, atol=1e-12)
+        for phi_x in (0.3, np.linspace(0, 2 * math.pi, 16, endpoint=False), np.zeros((4, 3))):
+            for phi_s in (0.0, 0.7, math.pi / 2):
+                for block in BLOCKS:
+                    p, q = raw_probs(phi_x, phi_s, block), matrix_probs(phi_x, phi_s, block)
+                    assert p.shape == q.shape == (2,) + np.shape(phi_x)
+                    assert np.allclose(p, q, rtol=0.0, atol=1e-12)
 
-    def test_unknown_block_rejected(self):
+    @pytest.mark.parametrize("route", sorted(ROUTES))
+    def test_unknown_block_rejected(self, route):
         with pytest.raises(ContractViolation):
-            raw_probs(np.zeros(3), 0.0, block="path2")
+            ROUTES[route](np.zeros(3), 0.0, block="path2")
 
+    @pytest.mark.parametrize("coherence", [1.5, -0.1, math.nan])
+    @pytest.mark.parametrize("route", sorted(ROUTES))
+    def test_coherence_outside_unit_interval_rejected(self, route, coherence):
+        with pytest.raises(ContractViolation, match=r"coherence must lie in \[0, 1\]"):
+            ROUTES[route](math.pi / 2, math.pi / 2, coherence=coherence)
 
-class TestFringeLaw:
-    def test_sweep_extrema_match_closed_form(self):
-        phi_x = np.linspace(0, 2 * math.pi, 4096, endpoint=False)
-        for phi_s in (0.0, 0.4, math.pi / 4, 1.2, math.pi / 2):
-            for gamma in (1.0, 0.967, 0.5):
-                p1 = 0.5 * (1 + gamma * np.sin(phi_x) * math.sin(phi_s))
-                p_max, p_min = fringe_extrema(phi_s, gamma)
-                assert abs(p1.max() - p_max) < 1e-6  # grid resolution limited
-                assert abs(p1.min() - p_min) < 1e-6
-                # exact law, independent of any grid
-                assert abs(p_max - 0.5 * (1 + gamma * math.sin(phi_s))) < 1e-9
-                assert abs(p_min - 0.5 * (1 - gamma * math.sin(phi_s))) < 1e-9
+    @pytest.mark.parametrize("block", BLOCKS)
+    @pytest.mark.parametrize("route", sorted(ROUTES))
+    def test_nonfinite_phi_s_rejected(self, route, block):
+        for phi_s in (math.inf, -math.inf, math.nan):
+            with pytest.raises(ContractViolation, match="phases must be finite"):
+                ROUTES[route](0.0, phi_s, block)
 
 
 class TestBlocker:
@@ -225,7 +195,8 @@ class TestConfigValidation:
 
     def test_raw_dispatch(self):
         open_raw = raw_detection_probs(CircuitConfig(0.3, 0.9))
-        assert abs(open_raw.p1 + open_raw.p2 - 1.0) < 1e-12
+        assert all(type(p) is float for p in open_raw)
+        assert abs(sum(open_raw) - 1.0) < 1e-12
         blocked_raw = raw_detection_probs(CircuitConfig(0.3, 0.9, block=BLOCK_PATH0))
-        assert abs(blocked_raw.p1 + blocked_raw.p2 - 0.5) < 1e-12
+        assert abs(sum(blocked_raw) - 0.5) < 1e-12
         assert set(BLOCKS) == {BLOCK_NONE, BLOCK_PATH0, BLOCK_PATH1}
