@@ -20,13 +20,13 @@ source, detector = SourceConfig(), DetectorConfig()
 print(f"mean photons per gate {source.mu}, efficiency {detector.efficiency}, "
       f"loss {detector.system_loss_db} dB, {plan.pulses_per_point} pulses per point")
 counts = run_sweep(plan, source, detector)  # shape (phi_s, block, detector, phi_x), in plan order
-reports = duality_report(plan, counts)
+card = duality_report(plan, counts)  # named columns, one entry per phi_s
 open_n1 = counts[:, plan.blocks.index("none"), 0]  # D1 counts of each phi_s's open scan
 
 print(f"\n{'phi_s':>8} {'V':>8} {'+-':>7} {'D':>8} {'+-':>7}   counts at fringe peak")
-for rep, n1 in zip(reports, open_n1):
-    v, d = rep.visibility, rep.distinguishability
-    print(f"{rep.phi_s:8.4f} {v.value:8.4f} {v.sigma:7.4f} {d.value:8.4f} {d.sigma:7.4f}   {int(n1.max())}")
+for phi_s, v, v_sigma, d, d_sigma, n1 in zip(*(card[name] for name in ("phi_s", "V", "V_sigma", "D", "D_sigma")),
+                                             open_n1):
+    print(f"{phi_s:8.4f} {v:8.4f} {v_sigma:7.4f} {d:8.4f} {d_sigma:7.4f}   {int(n1.max())}")
 
 print("\nthe mirror setting shows no fringe; the balanced setting reaches the "
       "device contrast ~0.967; distinguishability runs the other way")

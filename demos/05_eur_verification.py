@@ -18,12 +18,14 @@ plan = RunPlan(phi_s_values=phi_s_values, pulses_per_point=2_000_000, coherence=
 
 print(f"{'phi_s':>7} | {'Hmin(frm)':>9} {'Hmax(frm)':>9} {'EUR(frm)':>9} | "
       f"{'Hmin(def)':>9} {'Hmax(def)':>9} {'EUR(def)':>9} | {'|dEUR|':>8} {'3(sa+sb)':>8}")
-# one scorecard per phi_s, all evaluated together from the sweep's (phi_s, block, detector, phi_x) counts
-for rep in duality_report(plan, run_sweep(plan)):
-    f, d, eq = rep.formula.quantities, rep.definition.quantities, rep.equivalence
-    tol = 3 * (rep.formula.eur_sigma + rep.definition.eur_sigma)
-    print(f"{rep.phi_s:7.4f} | {f.h_min_z:9.5f} {f.h_max_w:9.5f} {f.eur_sum:9.5f} | "
-          f"{d.h_min_z:9.5f} {d.h_max_w:9.5f} {d.eur_sum:9.5f} | {eq.d_eur:8.5f} {tol:8.5f}")
+# the scorecard of every phi_s, evaluated together from the sweep's (phi_s, block, detector, phi_x) counts
+# as named columns with one entry per phi_s
+card = duality_report(plan, run_sweep(plan))
+f, d = card["formula"], card["definition"]
+tol = 3 * (f["eur_sigma"] + d["eur_sigma"])
+for row in zip(card["phi_s"], f["h_min_z"], f["h_max_w"], f["eur_sum"], d["h_min_z"], d["h_max_w"], d["eur_sum"],
+               card["equivalence"]["d_eur"], tol):
+    print("{:7.4f} | {:9.5f} {:9.5f} {:9.5f} | {:9.5f} {:9.5f} {:9.5f} | {:8.5f} {:8.5f}".format(*row))
 
 print("\nboth routes agree within propagated error bars, and every sum stays "
       "at or above 1 bit: path knowledge and fringe contrast cannot be sharp together")

@@ -9,7 +9,6 @@ sampled count data.
 """
 
 from .entropy import (
-    DualityQuantities,
     GuessingInput,
     eur_check,
     h_max,
@@ -25,13 +24,9 @@ from .entropy import (
 )
 from .errors import ConfigError, ContractViolation, EstimationError
 from .estimators import (
-    DualityReport,
-    EquivalenceReport,
-    EstimateWithError,
     FlatnessCheck,
     FringeFit,
     FringeScan,
-    RouteReport,
     duality_report,
     fit_fringe,
     flatness_check,

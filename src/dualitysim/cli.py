@@ -33,7 +33,7 @@ import numpy as np
 
 from .entropy import duality_columns
 from .errors import ConfigError, ContractViolation, EstimationError
-from .estimators import MIN_FRINGE_POINTS, DualityReport, covers_fringe_period, duality_report
+from .estimators import MIN_FRINGE_POINTS, covers_fringe_period, duality_report
 from .montecarlo import (
     IDEAL_MODE,
     MODES,
@@ -240,34 +240,27 @@ DUALITY_HEADER = (
 )
 
 
-def _duality_columns(reports) -> list:
-    rows = [[r.phi_s,
-             r.visibility.value, r.visibility.sigma,
-             r.distinguishability.value, r.distinguishability.sigma,
-             f.quantities.h_min_z, f.quantities.h_max_w, f.quantities.eur_sum,
-             d.quantities.h_min_z, d.quantities.h_max_w, d.quantities.eur_sum,
-             f.quantities.wpdr_value,
-             f.h_min_sigma, f.h_max_sigma, f.eur_sigma,
-             d.h_min_sigma, d.h_max_sigma, d.eur_sigma]
-            for r in reports for f, d in [(r.formula, r.definition)]]
-    return _columns(np.array(rows, ndmin=2).T)
+def _duality_columns(card: dict) -> list:
+    f, d = card["formula"], card["definition"]
+    return _columns(np.array([
+        card["phi_s"],
+        card["V"], card["V_sigma"],
+        card["D"], card["D_sigma"],
+        f["h_min_z"], f["h_max_w"], f["eur_sum"],
+        d["h_min_z"], d["h_max_w"], d["eur_sum"],
+        f["wpdr_value"],
+        f["h_min_sigma"], f["h_max_sigma"], f["eur_sigma"],
+        d["h_min_sigma"], d["h_max_sigma"], d["eur_sigma"],
+    ]))
 
 
-def _report_dict(r: DualityReport) -> dict:
-    """One report.json point: V, D, and every field of both routes' reports and of their equivalence."""
-    point = {
-        "phi_s": r.phi_s,
-        "V": r.visibility.value, "V_sigma": r.visibility.sigma,
-        "D": r.distinguishability.value, "D_sigma": r.distinguishability.sigma,
-        "equivalence": dict(vars(r.equivalence)),
-    }
-    for route in (r.formula, r.definition):
-        fields = point[route.route] = {**vars(route.quantities), **vars(route)}
-        del fields["route"], fields["quantities"]
-    return point
+def _points(columns: dict) -> list:
+    """One report.json point per entry of the scorecard's columns, nested dicts of columns becoming nested dicts."""
+    values = (_points(c) if isinstance(c, dict) else c.tolist() for c in columns.values())
+    return [dict(zip(columns, row)) for row in zip(*values)]
 
 
-def _violations(reports, mode: str) -> list:
+def _violations(card: dict, mode: str) -> list:
     """Bound failures beyond tolerance (a genuine one signals a simulator bug).
 
     The compatibility test relaxes the V and D estimates by 3 sigma toward
@@ -279,17 +272,14 @@ def _violations(reports, mode: str) -> list:
     order, the eur bound before the wpdr bound at each phi_s.
     """
     n_sigma = 3.0 if mode == MONTECARLO_MODE else 0.0
-    v, v_sigma, d, d_sigma = np.array([
-        (r.visibility.value, r.visibility.sigma, r.distinguishability.value, r.distinguishability.sigma) for r in reports
-    ]).reshape(-1, 4).T
-    relaxed = duality_columns(*(np.maximum(np.minimum(x, 1.0) - n_sigma * sigma, 0.0)
-                                for x, sigma in ((v, v_sigma), (d, d_sigma))))
+    relaxed = duality_columns(*(np.maximum(np.minimum(card[x], 1.0) - n_sigma * card[f"{x}_sigma"], 0.0)
+                                for x in ("V", "D")))
     bad = []
-    for i, r in enumerate(reports):
+    for i, phi_s in enumerate(card["phi_s"].tolist()):
         for bound, satisfied, value in (("eur", "eur_satisfied", "eur_sum"), ("wpdr", "wpdr_satisfied", "wpdr_value")):
             if not relaxed[satisfied][i]:
-                bad.append({"phi_s": r.phi_s, "bound": bound, "relaxed_value": float(relaxed[value][i]),
-                            "observed": getattr(r.formula.quantities, value)})
+                bad.append({"phi_s": phi_s, "bound": bound, "relaxed_value": float(relaxed[value][i]),
+                            "observed": float(card["formula"][value][i])})
     return bad
 
 
@@ -322,23 +312,24 @@ def run(cfg: ExperimentConfig) -> int:
             return EXIT_OK
 
         counts = run_sweep(cfg.plan, cfg.source, cfg.detector, mode=cfg.mode)
-        reports = duality_report(cfg.plan, counts)
-        violations = _violations(reports, cfg.mode)
+        card = duality_report(cfg.plan, counts)
+        violations = _violations(card, cfg.mode)
         _write_csv(out / "fringes.csv", "phi_s,phi_x,block,n1,n2,pulses", _fringe_blocks(cfg.plan, counts))
-        _write_csv(out / "duality.csv", DUALITY_HEADER, [_duality_columns(reports)])
+        _write_csv(out / "duality.csv", DUALITY_HEADER, [_duality_columns(card)])
+        # report.json states the k of the route equivalence's flags, |a - b| <= k (sigma_a + sigma_b): 1
+        equivalence = dict(card["equivalence"], k=np.ones(len(card["phi_s"])))
         _write_json(out / "report.json", dict(
             provenance,
-            points=[_report_dict(r) for r in reports],
+            points=_points(dict(card, equivalence=equivalence)),
             violations=violations,
-            dropped_points=sum(r.formula.dropped_points for r in reports),
+            dropped_points=int(card["formula"]["dropped_points"].sum()),
         ))
         if cfg.scenario == "eur-verify":
-            for r in reports:
-                f = r.formula.quantities
-                print(
-                    f"phi_s={r.phi_s:.6f}  eur_formula={f.eur_sum:.6f}  eur_defn={r.definition.quantities.eur_sum:.6f}  "
-                    f"wpdr={f.wpdr_value:.6f}  {'OK' if f.eur_satisfied and f.wpdr_satisfied else 'CHECK'}"
-                )
+            f = card["formula"]
+            for phi_s, eur, eur_defn, wpdr, ok in zip(card["phi_s"], f["eur_sum"], card["definition"]["eur_sum"],
+                                                      f["wpdr_value"], f["eur_satisfied"] & f["wpdr_satisfied"]):
+                print(f"phi_s={phi_s:.6f}  eur_formula={eur:.6f}  eur_defn={eur_defn:.6f}  "
+                      f"wpdr={wpdr:.6f}  {'OK' if ok else 'CHECK'}")
         if violations:
             print(f"error: {len(violations)} physically generated point(s) violate the bounds", file=sys.stderr)
             return EXIT_VIOLATION

@@ -156,32 +156,11 @@ def h_max_guessing_bound(g: GuessingInput) -> float:
     return math.log2(1.0 + math.sqrt(max(radicand, 0.0)))
 
 
-@dataclass(frozen=True)
-class DualityQuantities:
-    """One setting's two-path duality scorecard: V, D, entropies, bound sums."""
-
-    v: float
-    d: float
-    h_min_z: float
-    h_max_w: float
-    eur_sum: float
-    wpdr_value: float
-    eur_satisfied: bool
-    wpdr_satisfied: bool
-
-    def __post_init__(self):
-        for name, x in (("v", self.v), ("d", self.d)):
-            if not (-ATOL_ALGEBRAIC <= x <= 1.0 + ATOL_ALGEBRAIC):
-                raise ContractViolation(f"{name} = {x} outside [0, 1]")
-        if abs(self.eur_sum - (self.h_min_z + self.h_max_w)) > ATOL_ALGEBRAIC:
-            raise ContractViolation("eur_sum must equal h_min_z + h_max_w")
-
-
 def duality_columns(v, d) -> dict:
     """Both binary closed forms and both bound predicates for arrays of measured (V, D).
 
-    Returns the fields of :class:`DualityQuantities` by name, each an array
-    with one entry per (V, D) pair.
+    Returns v, d, h_min_z, h_max_w, eur_sum, wpdr_value, eur_satisfied and
+    wpdr_satisfied by name, each an array with one entry per (V, D) pair.
     """
     v, d = np.asarray(v, dtype=np.float64), np.asarray(d, dtype=np.float64)
     hz, hw = h_min_from_distinguishability(d), h_max_from_visibility(v)

@@ -25,18 +25,19 @@ entropies.
 The scorecard is one array pass.  :func:`duality_report` slices a sweep's
 counts (phi_s, block, detector, phi_x) into each block's rows and computes
 the grid extrema, V, D, both routes, their sigmas and the route equivalence
-for all rows at once.  Each stage reports its failed checks per row instead
-of raising, so a sweep raises the error of its first failing setting, as a
-loop over the settings would.
+for all rows at once, and returns them as named columns, one entry per
+phi_s, nested as a report.json point nests them.  Each stage reports its
+failed checks per row instead of raising, so a sweep raises the error of its
+first failing setting, as a loop over the settings would.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 
-from .entropy import DualityQuantities, duality_columns, eur_check, h_max, h_min
+from .entropy import duality_columns, eur_check, h_max, h_min
 from .errors import ContractViolation, EstimationError
 from .optics import BLOCK_PATH0, BLOCK_PATH1, BLOCKS
 
@@ -44,9 +45,6 @@ LN2 = math.log(2.0)
 
 # Fewest usable phi_x points a visibility estimate accepts.
 MIN_FRINGE_POINTS = 8
-
-FORMULA_ROUTE = "formula"
-DEFINITION_ROUTE = "definition"
 
 
 @dataclass(frozen=True)
@@ -75,58 +73,6 @@ class FringeScan:
     @property
     def totals(self) -> np.ndarray:
         return self.n1 + self.n2
-
-
-@dataclass(frozen=True)
-class EstimateWithError:
-    value: float
-    sigma: float
-
-    def __post_init__(self):
-        if not (math.isfinite(self.value) and math.isfinite(self.sigma)):
-            raise ContractViolation("estimate and sigma must be finite")
-        if self.sigma < 0:
-            raise ContractViolation("sigma must be nonnegative")
-
-
-@dataclass(frozen=True)
-class RouteReport:
-    """One route's duality quantities plus propagated error bars."""
-
-    route: str
-    quantities: DualityQuantities
-    h_min_sigma: float
-    h_max_sigma: float
-    eur_sigma: float
-    wpdr_sigma: float
-    clamped_v: bool = False
-    clamped_d: bool = False
-    dropped_points: int = 0
-
-
-@dataclass(frozen=True)
-class EquivalenceReport:
-    """Per-quantity absolute differences between two routes, with sigma flags."""
-
-    d_h_min: float
-    d_h_max: float
-    d_eur: float
-    within_h_min: bool
-    within_h_max: bool
-    within_eur: bool
-    k: float = 1.0
-
-
-@dataclass(frozen=True)
-class DualityReport:
-    """Everything measured at one phi_s: V, D, both routes, route agreement."""
-
-    phi_s: float
-    visibility: EstimateWithError
-    distinguishability: EstimateWithError
-    formula: RouteReport
-    definition: RouteReport
-    equivalence: EquivalenceReport
 
 
 def _kept(scan: FringeScan):
@@ -255,7 +201,7 @@ def _fringe_pair(rows: _Rows):
 
 @np.errstate(divide="ignore", invalid="ignore")
 def _route(quantities: dict, v, sigma_v, d, sigma_d) -> dict:
-    """A route's columns: its DualityQuantities columns, and the V and D sigmas propagated through both closed forms."""
+    """A route's columns: its :func:`duality_columns`, and the V and D sigmas propagated through both closed forms."""
     s_hmin = 1.0 / ((1.0 + d) * LN2) * sigma_d
     # d/dV log2(1 + sqrt(1-V^2)) diverges one-sidedly at V=1, where the
     # first-order sigma is meaningless; report 0 there and leave
@@ -274,7 +220,11 @@ def _formula_route(v, sigma_v, d, sigma_d) -> dict:
 
 
 def _definition_route(p_max, p_min, t_max, t_min, d, sigma_d) -> dict:
-    """Definition-route columns from the fringe-extremal detector-1 probabilities and the D estimate."""
+    """Definition-route columns from the fringe-extremal detector-1 probabilities and the D estimate.
+
+    The contrast of the extremal pair, p_max >= p_min >= 0, lies in [0, 1], so
+    this route clamps nothing and flags no row.
+    """
     hz = h_min(np.stack([(1.0 + d) / 2.0, (1.0 - d) / 2.0], axis=-1))  # the bias distribution of D
     s = p_max + p_min
     hw = h_max(np.stack([p_max, p_min], axis=-1) / s[:, None])
@@ -283,7 +233,8 @@ def _definition_route(p_max, p_min, t_max, t_min, d, sigma_d) -> dict:
     # definition-route entropies replace the closed-form ones in the scorecard
     eur_sum, eur_ok = eur_check(hz, hw)
     quantities = dict(duality_columns(contrast, d), h_min_z=hz, h_max_w=hw, eur_sum=eur_sum, eur_satisfied=eur_ok)
-    return _route(quantities, contrast, np.sqrt(var_c), d, sigma_d)
+    unclamped = np.zeros(contrast.shape, dtype=bool)
+    return dict(_route(quantities, contrast, np.sqrt(var_c), d, sigma_d), clamped_v=unclamped, clamped_d=unclamped)
 
 
 def _equivalence(a, b) -> dict:
@@ -296,38 +247,27 @@ def _equivalence(a, b) -> dict:
     return out
 
 
-def _objects(cls, columns: dict, **shared) -> list:
-    """One ``cls`` per row of ``columns`` (arrays or lists), each also given the ``shared`` fields."""
-    rows = zip(*(c.tolist() if isinstance(c, np.ndarray) else c for c in columns.values()))
-    return [cls(**dict(zip(columns, row)), **shared) for row in rows]
+def duality_report(plan, counts) -> dict:
+    """The dual-route scorecard of every phi_s of ``plan``, as named columns with one entry per setting.
 
-
-def _route_reports(route: str, columns: dict, **shared) -> list:
-    names = {f.name for f in fields(DualityQuantities)}
-    quantities = _objects(DualityQuantities, {name: c for name, c in columns.items() if name in names})
-    rest = {name: c for name, c in columns.items() if name not in names}
-    return _objects(RouteReport, dict(rest, quantities=quantities), route=route, **shared)
-
-
-def _estimates(value, sigma) -> list:
-    return _objects(EstimateWithError, {"value": value, "sigma": sigma})
-
-
-def duality_report(plan, counts) -> list:
-    """Full dual-route scorecards for every phi_s of ``plan``, one DualityReport per setting.
-
-    ``counts`` is laid out as :func:`run_sweep` returns it for ``plan``, which
-    holds all three blocks in any order.  Where a setting cannot be estimated,
-    the error raised is the first one a loop over the settings would meet.
+    ``phi_s``, ``V``, ``V_sigma``, ``D`` and ``D_sigma`` are arrays, and
+    ``formula``, ``definition`` and ``equivalence`` are dicts of arrays: each
+    route's :func:`duality_columns`, their propagated sigmas, clamp flags and
+    dropped points, and the routes' absolute differences with their
+    within-sigma flags.  ``counts`` is laid out as :func:`run_sweep` returns it
+    for ``plan``, which holds all three blocks in any order.  Where a setting
+    cannot be estimated, the error raised is the first one a loop over the
+    settings would meet.
     """
     if any(block not in plan.blocks for block in BLOCKS):
         raise ContractViolation("need one open, one path0 and one path1 scan per phi_s")
     counts = np.asarray(counts, dtype=np.float64)
     if counts.shape != (len(plan.phi_s_values), len(plan.blocks), 2, plan.phi_x_grid[2]):
         raise ContractViolation(f"counts need the plan's (phi_s, block, detector, phi_x) shape, not {counts.shape}")
-    bad = np.argwhere(~((counts >= 0) & (counts < np.inf)))  # NaN fails both; rows come in plan order
+    # NaN fails both; no sweep counts 2^63 or more, and counts near 1e154 would overflow the sigmas' squares
+    bad = np.argwhere(~((counts >= 0) & (counts < 2.0**63)))  # rows come in plan order
     if bad.size:
-        raise ContractViolation(f"n{bad[0][2] + 1} counts must be finite and nonnegative")
+        raise ContractViolation(f"n{bad[0][2] + 1} counts must be finite and nonnegative and below 2^63")
     op, b0, b1 = (_Rows(counts[:, plan.blocks.index(block)]) for block in BLOCKS)
     v, sigma_v, v_checks = _visibility(op, plan.phi_x_values())
     d, sigma_d, d_checks = _distinguishability(b0, b1)
@@ -336,14 +276,14 @@ def duality_report(plan, counts) -> list:
     dropped = sum((~rows.keep).sum(axis=-1) for rows in (op, b0, b1))
     formula = dict(_formula_route(v, sigma_v, d, sigma_d), dropped_points=dropped)
     definition = dict(_definition_route(*pair, d, sigma_d), dropped_points=dropped)
-    return _objects(DualityReport, {
-        "phi_s": plan.phi_s_values,
-        "visibility": _estimates(v, sigma_v),
-        "distinguishability": _estimates(d, sigma_d),
-        "formula": _route_reports(FORMULA_ROUTE, formula),
-        "definition": _route_reports(DEFINITION_ROUTE, definition),
-        "equivalence": _objects(EquivalenceReport, _equivalence(formula, definition)),
-    })
+    return {
+        "phi_s": np.array(plan.phi_s_values),
+        "V": v, "V_sigma": sigma_v,
+        "D": d, "D_sigma": sigma_d,
+        "formula": formula,
+        "definition": definition,
+        "equivalence": _equivalence(formula, definition),
+    }
 
 
 @dataclass(frozen=True)

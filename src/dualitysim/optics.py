@@ -53,11 +53,11 @@ def check_coherence(coherence) -> None:
         raise ContractViolation("coherence must lie in [0, 1]")
 
 
-def _check_setting(phi_s, block: str, coherence) -> None:
-    """The checks shared by both routes to the probabilities of one (phi_s, block) setting."""
+def _check_setting(phi_x, phi_s, block: str, coherence) -> None:
+    """The checks shared by both routes to the probabilities over phi_x at one (phi_s, block) setting."""
     if block not in BLOCKS:
         raise ContractViolation(f"block must be one of {BLOCKS}, got {block!r}")
-    if not math.isfinite(phi_s):
+    if not (math.isfinite(phi_s) and np.isfinite(phi_x).all()):
         raise ContractViolation("phases must be finite")
     check_coherence(coherence)
 
@@ -72,9 +72,7 @@ class CircuitConfig:
     coherence: float = 1.0
 
     def __post_init__(self):
-        if not math.isfinite(self.phi_x):
-            raise ContractViolation("phases must be finite")
-        _check_setting(self.phi_s, self.block, self.coherence)
+        _check_setting(self.phi_x, self.phi_s, self.block, self.coherence)
 
 
 def relative_phase(phi: float) -> OpticalElement:
@@ -134,7 +132,7 @@ def matrix_probs(phi_x, phi_s: float, block: str = BLOCK_NONE, coherence: float 
     the blocker (if a path is blocked) and then the Sagnac recombiner act on
     it, and D1 reads port 1, D2 port 0.
     """
-    _check_setting(phi_s, block, coherence)
+    _check_setting(phi_x, phi_s, block, coherence)
     phi_x = np.asarray(phi_x, dtype=np.float64)
     modulator = np.stack((np.ones(phi_x.shape), np.exp(1j * phi_x)), axis=-1)  # the diagonal of PM1(phi_x)
     amps = _splitters()[0].matrix[:, INPUT_PORT] * modulator
@@ -163,7 +161,7 @@ def raw_probs(phi_x, phi_s: float, block: str = BLOCK_NONE, coherence: float = 1
     With a path blocked this is half the conditional pair, the blocker
     having removed half of the amplitude.
     """
-    _check_setting(phi_s, block, coherence)
+    _check_setting(phi_x, phi_s, block, coherence)
     phi_x = np.asarray(phi_x, dtype=np.float64)
     if block == BLOCK_NONE:
         p1 = open_p1(np.sin(phi_x), math.sin(phi_s), coherence)

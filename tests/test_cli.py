@@ -3,7 +3,7 @@ import csv
 import io
 import json
 import math
-from dataclasses import asdict, fields, replace
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import numpy as np
@@ -15,9 +15,6 @@ from hypothesis.extra import numpy as hnp
 from dualitysim import (
     ConfigError,
     ContractViolation,
-    DualityQuantities,
-    EquivalenceReport,
-    RouteReport,
     SourceConfig,
     duality_report,
     run_sweep,
@@ -42,6 +39,7 @@ from dualitysim.cli import (
     _duality_columns,
     _write_csv,
 )
+from dualitysim.entropy import duality_columns
 
 REPO = Path(__file__).resolve().parents[1]
 REFERENCE_CONFIG = REPO / "configs" / "reference_sweep.json"
@@ -175,11 +173,14 @@ class TestRunArtifacts:
         assert report["violations"] == []
         assert len(report["points"]) == 3
         assert report["config_sha256"] == config_hash(cfg)
-        route_fields = {f.name for f in fields(DualityQuantities) + fields(RouteReport)} - {"route", "quantities"}
+        route_fields = {"v", "d", "h_min_z", "h_max_w", "eur_sum", "wpdr_value", "eur_satisfied", "wpdr_satisfied",
+                        "h_min_sigma", "h_max_sigma", "eur_sigma", "wpdr_sigma", "clamped_v", "clamped_d",
+                        "dropped_points"}
         for point in report["points"]:
             assert set(point) == {"phi_s", "V", "V_sigma", "D", "D_sigma", "formula", "definition", "equivalence"}
             assert set(point["formula"]) == set(point["definition"]) == route_fields
-            assert set(point["equivalence"]) == {f.name for f in fields(EquivalenceReport)}
+            assert set(point["equivalence"]) == {"d_h_min", "d_h_max", "d_eur", "within_h_min", "within_h_max",
+                                                 "within_eur", "k"}
 
     def test_switch_writes_timeseries(self, tmp_path):
         cfg = config_from_dict(
@@ -212,30 +213,27 @@ class TestRunArtifacts:
         assert run(cfg) == EXIT_IO
 
     @staticmethod
-    def _unphysical(phi_s, v=1.0, d=1.0):
-        """A forced scorecard outside both bounds: V = v and D = d with zero sigma."""
-        from dualitysim import DualityReport, EstimateWithError
-        from dualitysim.entropy import duality_columns
+    def _unphysical(card, forced):
+        """``card`` with the rows in ``forced`` (row -> (v, d)) put outside both bounds: V = v and D = d, zero sigma.
 
-        q = DualityQuantities(**{name: np.asarray(x).item() for name, x in duality_columns(v, d).items()})
-        broken = RouteReport(route="formula", quantities=q, h_min_sigma=0.0, h_max_sigma=0.0, eur_sigma=0.0,
-                             wpdr_sigma=0.0)
-        return DualityReport(
-            phi_s=phi_s,
-            visibility=EstimateWithError(v, 0.0),
-            distinguishability=EstimateWithError(d, 0.0),
-            formula=broken,
-            definition=broken,
-            equivalence=EquivalenceReport(d_h_min=0.0, d_h_max=0.0, d_eur=0.0, within_h_min=True,
-                                          within_h_max=True, within_eur=True),
-        )
+        Only the formula route takes the forced values, so a violation that reports the definition route's sums fails.
+        """
+        card = {name: {k: c.copy() for k, c in col.items()} if isinstance(col, dict) else col.copy()
+                for name, col in card.items()}
+        for i, (v, d) in forced.items():
+            card["V"][i], card["D"][i], card["V_sigma"][i], card["D_sigma"][i] = v, d, 0.0, 0.0
+            for name, value in duality_columns(v, d).items():
+                card["formula"][name][i] = value
+        return card
 
     def test_violation_exit_code(self, tmp_path, monkeypatch):
         import dualitysim.cli as cli_mod
 
+        real = cli_mod.duality_report
+
         # force an unphysical scorecard (V = D = 1) through the pipeline
         def fake_report(plan, counts):
-            return [self._unphysical(phi_s) for phi_s in plan.phi_s_values]
+            return self._unphysical(real(plan, counts), {0: (1.0, 1.0)})
 
         monkeypatch.setattr(cli_mod, "duality_report", fake_report)
         cfg = config_from_dict(
@@ -256,8 +254,7 @@ class TestRunArtifacts:
 
         # the real scorecard, with the settings in ``forced`` replaced by unphysical ones
         def fake_report(plan, counts):
-            reports = real(plan, counts)
-            return [self._unphysical(r.phi_s, *forced[i]) if i in forced else r for i, r in enumerate(reports)]
+            return self._unphysical(real(plan, counts), forced)
 
         monkeypatch.setattr(cli_mod, "duality_report", fake_report)
         phi_s = [0.0, math.pi / 4, math.pi / 2]
@@ -266,11 +263,10 @@ class TestRunArtifacts:
         assert run(cfg) == EXIT_VIOLATION
         expected = []
         for i in sorted(forced):
-            q = self._unphysical(phi_s[i], *forced[i]).formula.quantities
-            expected += [
-                {"phi_s": phi_s[i], "bound": "eur", "relaxed_value": q.eur_sum, "observed": q.eur_sum},
-                {"phi_s": phi_s[i], "bound": "wpdr", "relaxed_value": q.wpdr_value, "observed": q.wpdr_value},
-            ]
+            q = duality_columns(*forced[i])
+            for bound, value in (("eur", "eur_sum"), ("wpdr", "wpdr_value")):
+                expected.append({"phi_s": phi_s[i], "bound": bound, "relaxed_value": float(q[value]),
+                                 "observed": float(q[value])})
         report = json.loads((tmp_path / "out" / "report.json").read_text())
         assert report["violations"] == expected
 

@@ -5,7 +5,6 @@ import pytest
 
 from dualitysim import (
     ContractViolation,
-    DualityQuantities,
     GuessingInput,
     ProbDist,
     distinguishability_from_guessing,
@@ -228,23 +227,14 @@ class TestGuessingGames:
             assert np.all(np.diff(vals) < 1e-12)
 
 
-class TestDualityQuantities:
+class TestDualityColumns:
     def test_scorecard_construction(self):
         columns = duality_columns(math.sin(0.6), math.cos(0.6))
-        q = DualityQuantities(**{name: np.asarray(x).item() for name, x in columns.items()})
-        assert q.eur_satisfied and q.wpdr_satisfied
-        assert abs(q.eur_sum - 1.0) < 1e-12
+        assert columns["eur_satisfied"] and columns["wpdr_satisfied"]
+        assert abs(columns["eur_sum"] - 1.0) < 1e-12
 
-    def test_sum_invariant_enforced(self):
-        with pytest.raises(ContractViolation):
-            DualityQuantities(
-                v=0.5, d=0.5, h_min_z=0.5, h_max_w=0.5, eur_sum=2.0,
-                wpdr_value=0.5, eur_satisfied=True, wpdr_satisfied=True,
-            )
-
-    def test_range_invariant_enforced(self):
-        with pytest.raises(ContractViolation):
-            DualityQuantities(
-                v=1.5, d=0.5, h_min_z=0.5, h_max_w=0.5, eur_sum=1.0,
-                wpdr_value=0.5, eur_satisfied=True, wpdr_satisfied=True,
-            )
+    @pytest.mark.parametrize("v,d,name", [(1.5, 0.5, "visibility"), (0.5, -0.5, "distinguishability"),
+                                          (math.nan, 1.5, "distinguishability")])
+    def test_range_invariant_enforced(self, v, d, name):
+        with pytest.raises(ContractViolation, match=f"^{name} must be finite and within"):
+            duality_columns([0.5, v], [0.5, d])

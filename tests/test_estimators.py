@@ -10,14 +10,9 @@ from hypothesis import strategies as st
 from dualitysim import (
     BLOCKS,
     ContractViolation,
-    DualityQuantities,
-    DualityReport,
-    EquivalenceReport,
-    EstimateWithError,
     EstimationError,
     FringeScan,
     ProbDist,
-    RouteReport,
     RunPlan,
     duality_report,
     fit_fringe,
@@ -27,6 +22,7 @@ from dualitysim import (
     h_min_from_distinguishability,
     run_sweep,
 )
+from dualitysim.cli import _points
 from dualitysim.entropy import duality_columns
 from dualitysim.estimators import MIN_FRINGE_POINTS, flatness_check
 from dualitysim.tolerances import ATOL_ALGEBRAIC, INEQ_SLACK
@@ -41,13 +37,13 @@ def scan(n1, n2, phi_x=PHI_X_16):
 
 
 def score(open_counts, b0_counts, b1_counts, phi_s=0.0, grid=None):
-    """The scorecard of one setting from its open, path0 and path1 (n1, n2) counts.
+    """The scorecard of one setting from its open, path0 and path1 (n1, n2) counts, as its report.json point.
 
     The plan's phi_x grid defaults to one period over as many points as the counts hold.
     """
     counts = np.array([[open_counts, b0_counts, b1_counts]], dtype=float)
     plan = RunPlan(phi_s_values=(phi_s,), phi_x_grid=grid or (0.0, 2.0 * math.pi, counts.shape[-1]))
-    [rep] = duality_report(plan, counts)
+    [rep] = _points(duality_report(plan, counts))
     return rep
 
 
@@ -61,8 +57,8 @@ def ideal_sweep(phi_s, coherence=1.0, steps=32, pulses=120_000):
 
 
 def ideal_report(phi_s, **kwargs):
-    """The scorecard of one noiseless setting."""
-    [rep] = duality_report(*ideal_sweep(phi_s, **kwargs))
+    """The scorecard of one noiseless setting, as its report.json point."""
+    [rep] = _points(duality_report(*ideal_sweep(phi_s, **kwargs)))
     return rep
 
 
@@ -92,28 +88,26 @@ class TestVisibility:
         # fringe peak 900 counts, trough 100 counts
         n1 = np.full(16, 500.0)
         n1[4], n1[12] = 900.0, 100.0
-        est = with_balanced_blocked(n1, 1000.0 - n1).visibility
-        assert est.value == pytest.approx(0.8, abs=1e-12)
-        assert est.sigma == pytest.approx(0.018973665961010275, abs=1e-12)
+        rep = with_balanced_blocked(n1, 1000.0 - n1)
+        assert rep["V"] == pytest.approx(0.8, abs=1e-12)
+        assert rep["V_sigma"] == pytest.approx(0.018973665961010275, abs=1e-12)
 
     def test_flat_fringe_zero_visibility(self):
-        est = with_balanced_blocked(np.full(16, 500.0), np.full(16, 500.0)).visibility
-        assert est.value == pytest.approx(0.0, abs=1e-12)
+        assert with_balanced_blocked(np.full(16, 500.0), np.full(16, 500.0))["V"] == pytest.approx(0.0, abs=1e-12)
 
     def test_ideal_model_matches_contrast_law(self):
         # 32-point grid lands exactly on the fringe extrema
         for phi_s in (0.0, math.pi / 8, math.pi / 4, math.pi / 2):
             for gamma in (1.0, 0.967):
-                est = ideal_report(phi_s, coherence=gamma).visibility
-                assert est.value == pytest.approx(gamma * math.sin(phi_s), abs=1e-12)
+                assert ideal_report(phi_s, coherence=gamma)["V"] == pytest.approx(gamma * math.sin(phi_s), abs=1e-12)
 
     def test_dense_grid_resolution_bound(self):
         # grid spacing below pi/128 keeps the worst-case peak miss tiny
         steps = 512
-        est = ideal_report(1.0, coherence=0.9, steps=steps).visibility
+        v = ideal_report(1.0, coherence=0.9, steps=steps)["V"]
         spacing = 2.0 * math.pi / steps
         bound = 0.9 * math.sin(1.0) * (spacing / 2.0) ** 2 / 2.0 + 1e-12
-        assert abs(est.value - 0.9 * math.sin(1.0)) <= bound
+        assert abs(v - 0.9 * math.sin(1.0)) <= bound
 
     def test_requires_enough_points(self):
         with pytest.raises(ContractViolation, match="need at least"):
@@ -131,27 +125,25 @@ class TestVisibility:
         n1 = np.full(16, 500.0)
         n2 = np.full(16, 500.0)
         n1[3] = n2[3] = 0.0  # dead point must not poison the estimate
-        est = with_balanced_blocked(n1, n2).visibility
-        assert est.value == pytest.approx(0.0, abs=1e-12)
+        assert with_balanced_blocked(n1, n2)["V"] == pytest.approx(0.0, abs=1e-12)
 
 
 class TestDistinguishability:
     def test_mirror_mode(self):
         b0 = (np.full(16, 1000.0), np.zeros(16))
         b1 = (np.zeros(16), np.full(16, 1000.0))
-        est = with_ideal_open(b0, b1).distinguishability
-        assert est.value == pytest.approx(1.0, abs=1e-12)
+        rep = with_ideal_open(b0, b1)
+        assert rep["D"] == pytest.approx(1.0, abs=1e-12)
         # boundary estimate carries the one-count floor, not zero sigma
-        assert 0.0 < est.sigma < 1e-3
+        assert 0.0 < rep["D_sigma"] < 1e-3
 
     def test_balanced_mode(self):
         b0 = (np.full(16, 500.0), np.full(16, 500.0))
         b1 = (np.full(16, 500.0), np.full(16, 500.0))
-        assert with_ideal_open(b0, b1).distinguishability.value == pytest.approx(0.0, abs=1e-12)
+        assert with_ideal_open(b0, b1)["D"] == pytest.approx(0.0, abs=1e-12)
 
     def test_ideal_intermediate_setting(self):
-        est = ideal_report(math.pi / 3).distinguishability
-        assert est.value == pytest.approx(0.5, abs=1e-12)
+        assert ideal_report(math.pi / 3)["D"] == pytest.approx(0.5, abs=1e-12)
 
     def test_zero_counts(self):
         b0 = (np.zeros(16), np.zeros(16))
@@ -164,10 +156,10 @@ class TestFormulaRoute:
     def test_extreme_inputs(self):
         # full contrast (detector 1 dark at the fringe minimum), balanced blocked scans: V = 1, D = 0
         p = 0.5 * (1.0 + np.sin(PHI_X_16))
-        report = with_balanced_blocked(1000.0 * p, 1000.0 * (1.0 - p)).formula
-        assert (report.quantities.v, report.quantities.d) == (1.0, 0.0)
-        assert report.quantities.eur_sum == pytest.approx(1.0, abs=1e-12)
-        assert report.quantities.eur_satisfied
+        formula = with_balanced_blocked(1000.0 * p, 1000.0 * (1.0 - p))["formula"]
+        assert (formula["v"], formula["d"]) == (1.0, 0.0)
+        assert formula["eur_sum"] == pytest.approx(1.0, abs=1e-12)
+        assert formula["eur_satisfied"]
 
     def test_saturated_pair(self):
         q = duality_columns(math.sin(math.pi / 4), math.cos(math.pi / 4))
@@ -181,35 +173,35 @@ class TestFormulaRoute:
         # V < 0 from the counts, D = 0.5 from blocked scans with 3:1 pooled counts
         b0 = (np.full(16, 75.0), np.full(16, 25.0))
         b1 = (np.full(16, 25.0), np.full(16, 75.0))
-        report = score(low_exposure_peak(), b0, b1).formula
-        assert report.clamped_v and not report.clamped_d
-        assert report.quantities.v == 0.0 and report.quantities.d == 0.5
+        formula = score(low_exposure_peak(), b0, b1)["formula"]
+        assert formula["clamped_v"] and not formula["clamped_d"]
+        assert formula["v"] == 0.0 and formula["d"] == 0.5
 
     def test_visibility_clamp_reachable_from_counts(self):
         # a low-exposure peak can put fewer detector-1 counts at the fringe
         # max than at the min; the route must clamp, not crash
         rep = with_balanced_blocked(*low_exposure_peak())
-        assert rep.visibility.value < 0.0
-        assert rep.formula.clamped_v
+        assert rep["V"] < 0.0
+        assert rep["formula"]["clamped_v"]
 
 
 class TestDefinitionRoute:
     def test_ideal_matches_formula_route(self):
         for phi_s in (0.0, math.pi / 8, math.pi / 4, math.pi / 2):
             rep = ideal_report(phi_s)
-            defn, formula = rep.definition, rep.formula
-            assert defn.quantities.h_min_z == pytest.approx(formula.quantities.h_min_z, abs=1e-12)
-            assert defn.quantities.h_max_w == pytest.approx(formula.quantities.h_max_w, abs=1e-12)
+            defn, formula = rep["definition"], rep["formula"]
+            assert defn["h_min_z"] == pytest.approx(formula["h_min_z"], abs=1e-12)
+            assert defn["h_max_w"] == pytest.approx(formula["h_max_w"], abs=1e-12)
 
     def test_mirror_setting(self):
-        defn = ideal_report(0.0).definition
-        assert defn.quantities.h_min_z == pytest.approx(0.0, abs=1e-12)
-        assert defn.quantities.h_max_w == pytest.approx(1.0, abs=1e-12)
+        defn = ideal_report(0.0)["definition"]
+        assert defn["h_min_z"] == pytest.approx(0.0, abs=1e-12)
+        assert defn["h_max_w"] == pytest.approx(1.0, abs=1e-12)
 
     def test_balanced_setting(self):
-        defn = ideal_report(math.pi / 2, coherence=1.0).definition
-        assert defn.quantities.h_min_z == pytest.approx(1.0, abs=1e-12)
-        assert defn.quantities.h_max_w == pytest.approx(0.0, abs=1e-12)
+        defn = ideal_report(math.pi / 2, coherence=1.0)["definition"]
+        assert defn["h_min_z"] == pytest.approx(1.0, abs=1e-12)
+        assert defn["h_max_w"] == pytest.approx(0.0, abs=1e-12)
 
     def test_route_identity_on_normalized_scans(self):
         # once every point is normalized to a probability pair, both routes
@@ -221,20 +213,18 @@ class TestDefinitionRoute:
             raw_b0 = rng.poisson(40.0, size=(2, 16)).astype(float) + 1.0
             raw_b1 = rng.poisson(40.0, size=(2, 16)).astype(float) + 1.0
             rep = score(*(raw / raw.sum(axis=0) for raw in (raw_open, raw_b0, raw_b1)), phi_s=phi_s)
-            defn, formula = rep.definition, rep.formula
-            assert abs(defn.quantities.h_min_z - formula.quantities.h_min_z) < 1e-12
-            assert abs(defn.quantities.h_max_w - formula.quantities.h_max_w) < 1e-12
+            defn, formula = rep["definition"], rep["formula"]
+            assert abs(defn["h_min_z"] - formula["h_min_z"]) < 1e-12
+            assert abs(defn["h_max_w"] - formula["h_max_w"]) < 1e-12
 
 
 class TestEquivalenceAndReports:
     def test_ideal_diffs_vanish_for_any_phi_s(self):
         plan = RunPlan(phi_s_values=tuple(np.linspace(0.0, math.pi / 2, 9)), coherence=1.0, seed=0)
-        reports = duality_report(plan, run_sweep(plan, mode="ideal"))
-        assert [rep.phi_s for rep in reports] == list(plan.phi_s_values)
-        for rep in reports:
-            assert rep.equivalence.d_h_min < 1e-12
-            assert rep.equivalence.d_h_max < 1e-12
-            assert rep.equivalence.d_eur < 1e-12
+        card = duality_report(plan, run_sweep(plan, mode="ideal"))
+        assert card["phi_s"].tolist() == list(plan.phi_s_values)
+        for name in ("d_h_min", "d_h_max", "d_eur"):
+            assert (card["equivalence"][name] < 1e-12).all()
 
     def test_monte_carlo_routes_agree_within_three_sigma(self):
         # noisy runs: the routes consume different data, so demand agreement
@@ -245,26 +235,25 @@ class TestEquivalenceAndReports:
             plan = RunPlan(
                 phi_s_values=(math.pi / 4,), pulses_per_point=100_000, seed=seed
             )
-            [rep] = duality_report(plan, run_sweep(plan))
-            eq, f, d = rep.equivalence, rep.formula, rep.definition
-            hits += (eq.d_h_min <= 3.0 * (f.h_min_sigma + d.h_min_sigma)
-                     and eq.d_h_max <= 3.0 * (f.h_max_sigma + d.h_max_sigma)
-                     and eq.d_eur <= 3.0 * (f.eur_sigma + d.eur_sigma))
+            [rep] = _points(duality_report(plan, run_sweep(plan)))
+            eq, f, d = rep["equivalence"], rep["formula"], rep["definition"]
+            hits += (eq["d_h_min"] <= 3.0 * (f["h_min_sigma"] + d["h_min_sigma"])
+                     and eq["d_h_max"] <= 3.0 * (f["h_max_sigma"] + d["h_max_sigma"])
+                     and eq["d_eur"] <= 3.0 * (f["eur_sigma"] + d["eur_sigma"]))
         assert hits >= 0.99 * len(seeds)
 
     def test_sigma_scaling_with_counts(self):
-        [small] = duality_report(*ideal_sweep(math.pi / 8, pulses=200_000))
-        [big] = duality_report(*ideal_sweep(math.pi / 8, pulses=800_000))
-        for pick in (lambda rep: rep.visibility, lambda rep: rep.distinguishability):
-            ratio = pick(small).sigma / pick(big).sigma
+        small = ideal_report(math.pi / 8, pulses=200_000)
+        big = ideal_report(math.pi / 8, pulses=800_000)
+        for sigma in ("V_sigma", "D_sigma"):
+            ratio = small[sigma] / big[sigma]
             assert abs(ratio - 2.0) < 0.1  # fourfold counts halve sigma within 5%
 
     def test_dropped_points_counted(self):
         plan, counts = ideal_sweep(math.pi / 4)
         counts[0, BLOCKS.index("none"), :, 5] = 0.0
-        [rep] = duality_report(plan, counts)
-        assert rep.formula.dropped_points == 1
-        assert rep.definition.dropped_points == 1
+        card = duality_report(plan, counts)
+        assert card["formula"]["dropped_points"].tolist() == card["definition"]["dropped_points"].tolist() == [1]
 
     def test_plan_without_every_block_rejected(self):
         plan = RunPlan(phi_s_values=(math.pi / 4,), blocks=("none", "path1"))
@@ -287,17 +276,26 @@ class TestEquivalenceAndReports:
             with pytest.raises(ContractViolation, match=f"^n{det + 1} counts must be finite and nonnegative"):
                 duality_report(plan, counts)
 
+    @pytest.mark.parametrize("value", [2.0**63, 1e160])
+    def test_counts_from_2_to_the_63_rejected(self, value):
+        # no sweep counts that many clicks, and the sigmas' squares of counts near 1e160 overflow
+        plan, counts = ideal_sweep(math.pi / 4)
+        duality_report(plan, counts * ((2.0**63 - 1024.0) / counts.max()))  # the largest float below 2^63 passes
+        counts[0, 1, 1, 3] = value
+        with pytest.raises(ContractViolation, match=r"^n2 counts must be finite and nonnegative and below 2\^63$"):
+            duality_report(plan, counts)
+
     def test_block_order_leaves_reports_unchanged(self):
         # each block is read off the plan, so the order of the block axis changes nothing
         plan = RunPlan(phi_s_values=(0.0, 0.7, 0.7, math.pi / 2), pulses_per_point=4000, seed=5)
         counts = run_sweep(plan)
-        want = _bits(duality_report(plan, counts))
+        want = _bits(_points(duality_report(plan, counts)))
         assert len(want) == 4
         for blocks in (BLOCKS[::-1], ("path0", "none", "path1")):
             reordered = replace(plan, blocks=blocks)
-            assert _bits(duality_report(reordered, run_sweep(reordered))) == want
+            assert _bits(_points(duality_report(reordered, run_sweep(reordered)))) == want
             by_hand = counts[:, [BLOCKS.index(b) for b in blocks]]
-            assert _bits(duality_report(reordered, by_hand)) == want
+            assert _bits(_points(duality_report(reordered, by_hand))) == want
 
 
 def _scan_fields(**changes):
@@ -382,9 +380,10 @@ class TestFlatnessAndFit:
 
 
 # The per-setting scalar scorecard that the array pass of duality_report
-# replaced, kept verbatim as its reference (with the scalar bound checks it
-# called).  The array pass must give every field of every report bit for bit,
-# and raise the same error for the first failing setting.
+# replaced, kept as its reference (with the scalar bound checks it called).
+# It builds each setting's report.json point as a nested dict; the array
+# pass's columns, transposed into points, must give every field of every
+# point bit for bit, and raise the same error for the first failing setting.
 
 def _ref_kept(scan):
     keep = scan.totals > 0
@@ -419,7 +418,7 @@ def _ref_visibility(scan):
     if s <= 0:
         raise EstimationError("zero detector-1 counts at both fringe extrema")
     m_max, m_min = max(n_max, 1.0), max(n_min, 1.0)
-    return EstimateWithError((n_max - n_min) / s, math.sqrt(_ref_ratio_variance(m_max, m_min, s, m_max, m_min)))
+    return (n_max - n_min) / s, math.sqrt(_ref_ratio_variance(m_max, m_min, s, m_max, m_min))
 
 
 def _ref_pooled_bias(scan):
@@ -438,7 +437,7 @@ def _ref_distinguishability(scan_blocked_0, scan_blocked_1):
         raise ContractViolation("blocked scans must share the same phi_s")
     d0, var0 = _ref_pooled_bias(scan_blocked_0)
     d1, var1 = _ref_pooled_bias(scan_blocked_1)
-    return EstimateWithError(0.5 * (d0 + d1), 0.5 * math.sqrt(var0 + var1))
+    return 0.5 * (d0 + d1), 0.5 * math.sqrt(var0 + var1)
 
 
 def _ref_eur_check(h_min_z, h_max_w):
@@ -454,7 +453,7 @@ def _ref_duality_from_v_d(v, d):
     hw = h_max_from_visibility(v)
     eur_sum, eur_ok = _ref_eur_check(hz, hw)
     value = d * d + v * v
-    return DualityQuantities(
+    return dict(
         v=float(v), d=float(d), h_min_z=hz, h_max_w=hw, eur_sum=eur_sum, wpdr_value=value,
         eur_satisfied=eur_ok, wpdr_satisfied=bool(value <= 1.0 + INEQ_SLACK),
     )
@@ -475,22 +474,22 @@ def _ref_h_max_slope(v):
     return v / (root * (1.0 + root) * math.log(2.0))
 
 
-def _ref_route_report(route, q, v, sigma_v, d, sigma_d, **flags):
+def _ref_route_report(q, v, sigma_v, d, sigma_d, clamped_v=False, clamped_d=False, dropped_points=0):
     s_hmin = 1.0 / ((1.0 + d) * math.log(2.0)) * sigma_d
     s_hmax = _ref_h_max_slope(v) * sigma_v
-    return RouteReport(
-        route=route, quantities=q, h_min_sigma=s_hmin, h_max_sigma=s_hmax,
+    return dict(
+        q, h_min_sigma=s_hmin, h_max_sigma=s_hmax,
         eur_sigma=math.hypot(s_hmin, s_hmax),
         wpdr_sigma=math.hypot(2.0 * d * sigma_d, 2.0 * v * sigma_v),
-        **flags,
+        clamped_v=clamped_v, clamped_d=clamped_d, dropped_points=dropped_points,
     )
 
 
 def _ref_formula_route(visibility, distinguishability, dropped_points=0):
-    v, clamped_v = _ref_clamp_unit(visibility.value)
-    d, clamped_d = _ref_clamp_unit(distinguishability.value)
+    v, clamped_v = _ref_clamp_unit(visibility[0])
+    d, clamped_d = _ref_clamp_unit(distinguishability[0])
     return _ref_route_report(
-        "formula", _ref_duality_from_v_d(v, d), v, visibility.sigma, d, distinguishability.sigma,
+        _ref_duality_from_v_d(v, d), v, visibility[1], d, distinguishability[1],
         clamped_v=clamped_v, clamped_d=clamped_d, dropped_points=dropped_points,
     )
 
@@ -498,7 +497,7 @@ def _ref_formula_route(visibility, distinguishability, dropped_points=0):
 def _ref_definition_route(scan_open, distinguishability, dropped_points=0):
     if scan_open.block != "none":
         raise ContractViolation("definition route needs an open scan first")
-    d = distinguishability.value
+    d = distinguishability[0]
     hz = h_min(ProbDist(np.array([(1.0 + d) / 2.0, (1.0 - d) / 2.0]), ("guess_hit", "guess_miss")))
     i_max, i_min = _ref_extremal_indices(scan_open)
     t_max, t_min = float(scan_open.totals[i_max]), float(scan_open.totals[i_min])
@@ -512,27 +511,25 @@ def _ref_definition_route(scan_open, distinguishability, dropped_points=0):
     var_p = (p_max * (1.0 - p_max) / t_max, p_min * (1.0 - p_min) / t_min)
     var_c = _ref_ratio_variance(p_max, p_min, s, *var_p)
     eur_sum, eur_ok = _ref_eur_check(hz, hw)
-    q = replace(_ref_duality_from_v_d(contrast, d), h_min_z=hz, h_max_w=hw, eur_sum=eur_sum, eur_satisfied=eur_ok)
+    q = dict(_ref_duality_from_v_d(contrast, d), h_min_z=hz, h_max_w=hw, eur_sum=eur_sum, eur_satisfied=eur_ok)
     return _ref_route_report(
-        "definition", q, contrast, math.sqrt(var_c), d, distinguishability.sigma, dropped_points=dropped_points,
+        q, contrast, math.sqrt(var_c), d, distinguishability[1], dropped_points=dropped_points,
     )
 
 
-def _ref_equivalence(route_a, route_b, k=1.0):
-    qa, qb = route_a.quantities, route_b.quantities
-    d_h_min = abs(qa.h_min_z - qb.h_min_z)
-    d_h_max = abs(qa.h_max_w - qb.h_max_w)
-    d_eur = abs(qa.eur_sum - qb.eur_sum)
-    return EquivalenceReport(
+def _ref_equivalence(route_a, route_b):
+    d_h_min = abs(route_a["h_min_z"] - route_b["h_min_z"])
+    d_h_max = abs(route_a["h_max_w"] - route_b["h_max_w"])
+    d_eur = abs(route_a["eur_sum"] - route_b["eur_sum"])
+    return dict(
         d_h_min=d_h_min, d_h_max=d_h_max, d_eur=d_eur,
-        within_h_min=bool(d_h_min <= k * (route_a.h_min_sigma + route_b.h_min_sigma)),
-        within_h_max=bool(d_h_max <= k * (route_a.h_max_sigma + route_b.h_max_sigma)),
-        within_eur=bool(d_eur <= k * (route_a.eur_sigma + route_b.eur_sigma)),
-        k=k,
+        within_h_min=bool(d_h_min <= (route_a["h_min_sigma"] + route_b["h_min_sigma"])),
+        within_h_max=bool(d_h_max <= (route_a["h_max_sigma"] + route_b["h_max_sigma"])),
+        within_eur=bool(d_eur <= (route_a["eur_sigma"] + route_b["eur_sigma"])),
     )
 
 
-def _ref_duality_report(scan_open, scan_blocked_0, scan_blocked_1, k=1.0):
+def _ref_duality_report(scan_open, scan_blocked_0, scan_blocked_1):
     visibility = _ref_visibility(scan_open)
     distinguishability = _ref_distinguishability(scan_blocked_0, scan_blocked_1)
     if abs(scan_open.phi_s - scan_blocked_0.phi_s) > ATOL_ALGEBRAIC:
@@ -540,9 +537,10 @@ def _ref_duality_report(scan_open, scan_blocked_0, scan_blocked_1, k=1.0):
     dropped = sum(int(np.count_nonzero(s.totals == 0)) for s in (scan_open, scan_blocked_0, scan_blocked_1))
     formula = _ref_formula_route(visibility, distinguishability, dropped_points=dropped)
     definition = _ref_definition_route(scan_open, distinguishability, dropped_points=dropped)
-    return DualityReport(
-        phi_s=scan_open.phi_s, visibility=visibility, distinguishability=distinguishability,
-        formula=formula, definition=definition, equivalence=_ref_equivalence(formula, definition, k=k),
+    return dict(
+        phi_s=scan_open.phi_s, V=visibility[0], V_sigma=visibility[1], D=distinguishability[0],
+        D_sigma=distinguishability[1], formula=formula, definition=definition,
+        equivalence=_ref_equivalence(formula, definition),
     )
 
 
@@ -571,8 +569,8 @@ def _outcome(compute):
 
 def _bits(x):
     """``x`` with every float as its exact hex form, so -0.0 and 0.0 differ too."""
-    if dataclasses.is_dataclass(x):
-        return type(x).__name__, [_bits(getattr(x, f.name)) for f in dataclasses.fields(x)]
+    if isinstance(x, dict):
+        return {name: _bits(value) for name, value in x.items()}
     if isinstance(x, (list, tuple)):
         return [_bits(e) for e in x]
     if isinstance(x, (bool, np.bool_)):
@@ -594,7 +592,7 @@ def assert_same_as_reference(settings, blocks=BLOCKS):
     want = _outcome(lambda: [_ref_duality_report(*(_RefScan(phi_s, block, phi_x, *c) for block, c in zip(BLOCKS, counts)))
                              for phi_s, counts in settings])
     counts = np.array([[counts[BLOCKS.index(block)] for block in blocks] for _, counts in settings])
-    got = _outcome(lambda: duality_report(plan, counts))
+    got = _outcome(lambda: _points(duality_report(plan, counts)))
     assert _bits(got) == _bits(want)
     assert got == want
     return got
@@ -677,13 +675,13 @@ class TestArrayPassMatchesReference:
         cases += list(zip(plan.phi_s_values, run_sweep(plan)))
         # an ideal setting whose V sigma moves in the last bit if the squares multiply instead of calling pow
         cases.append(_sweep_setting(0.9040558713560102, 32, 120_000, 1.0, 0, "ideal"))
-        reports = assert_same_as_reference(cases)
-        assert reports[0].formula.clamped_v and reports[0].distinguishability.value == 1.0
-        assert reports[1].visibility.value == 1.0 and reports[1].formula.h_max_sigma == 0.0
-        assert reports[1].distinguishability.value == 0.0
+        points = assert_same_as_reference(cases)
+        assert points[0]["formula"]["clamped_v"] and points[0]["D"] == 1.0
+        assert points[1]["V"] == 1.0 and points[1]["formula"]["h_max_sigma"] == 0.0
+        assert points[1]["D"] == 0.0
         # coherence 0 at 4000 pulses: zero-count points dropped, V = 1 where detector 1 stays dark
-        assert sum(r.formula.dropped_points for r in reports[2:5]) == 14
-        assert [r.visibility.value for r in reports[2:5]] == [1.0, 0.5, 1.0]
+        assert sum(p["formula"]["dropped_points"] for p in points[2:5]) == 14
+        assert [p["V"] for p in points[2:5]] == [1.0, 0.5, 1.0]
 
     @pytest.mark.parametrize("blocks", [BLOCKS, ("path1", "none", "path0")], ids=["blocks_in_order", "blocks_permuted"])
     @pytest.mark.parametrize("faults", [("zero_path1", "all_zero_open"), ("all_zero_open", "zero_path1"),

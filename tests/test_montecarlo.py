@@ -231,9 +231,10 @@ class TestRunSweep:
         # settings leave the open counts as an open-only plan draws them
         open_only = run_sweep(replace(plan, blocks=("none",)), SRC, DET)
         assert open_only[:, 0].tobytes() == counts[:, 0].tobytes()
-        flat, full = (rep.visibility for rep in duality_report(plan, counts))
-        assert flat.value < 3 * flat.sigma
-        assert abs(full.value - 1.0) <= 3 * full.sigma
+        card = duality_report(plan, counts)
+        (flat, full), (flat_sigma, full_sigma) = card["V"], card["V_sigma"]
+        assert flat < 3 * flat_sigma
+        assert abs(full - 1.0) <= 3 * full_sigma
 
     def test_sampled_blocked_scan_is_flat(self):
         from dualitysim.estimators import FringeScan, flatness_check

@@ -162,6 +162,14 @@ class TestArrayRoute:
             with pytest.raises(ContractViolation, match="phases must be finite"):
                 ROUTES[route](0.0, phi_s, block)
 
+    @pytest.mark.parametrize("block", BLOCKS)
+    @pytest.mark.parametrize("route", sorted(ROUTES))
+    def test_nonfinite_phi_x_rejected(self, route, block):
+        for bad in (math.inf, -math.inf, math.nan):
+            for phi_x in (bad, np.array([0.0, bad, 1.0])):
+                with pytest.raises(ContractViolation, match="phases must be finite"):
+                    ROUTES[route](phi_x, 0.7, block)
+
 
 class TestBlocker:
     def test_partial_transmissivity(self):
