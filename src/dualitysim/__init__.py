@@ -12,11 +12,9 @@ from .entropy import (
     GuessingInput,
     eur_check,
     h_max,
-    h_max_binary,
     h_max_from_visibility,
     h_max_guessing_bound,
     h_min,
-    h_min_binary,
     h_min_from_distinguishability,
     visibility_from_guessing,
     distinguishability_from_guessing,
@@ -36,7 +34,6 @@ from .montecarlo import (
     RunPlan,
     SourceConfig,
     SwitchPlan,
-    SwitchTrace,
     cell_rng,
     click_probabilities,
     click_probs,

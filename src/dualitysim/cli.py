@@ -303,12 +303,12 @@ def run(cfg: ExperimentConfig) -> int:
 
     try:
         if cfg.scenario == "switch":
-            trace = run_dynamic_switch(cfg.switch, cfg.source, cfg.detector, cfg.plan.seed,
-                                       coherence=cfg.plan.resolved_coherence(cfg.mode))
-            columns = _columns(np.array([trace.t, trace.phi_s, trace.phi_x, trace.n1, trace.n2]))
+            counts = run_dynamic_switch(cfg.switch, cfg.source, cfg.detector, cfg.plan.seed,
+                                        coherence=cfg.plan.resolved_coherence(cfg.mode))
+            columns = _columns(np.vstack((*cfg.switch.bin_axes(), counts)))
             _write_csv(out / "timeseries.csv", "t,phi_s,phi_x,n1,n2", [columns])
-            report = dict(provenance, bins=int(trace.t.size), pulses_per_bin=trace.pulses_per_bin)
-            _write_json(out / "report.json", report)
+            bins, pulses_per_bin = cfg.switch.pulses(cfg.source)
+            _write_json(out / "report.json", dict(provenance, bins=bins, pulses_per_bin=pulses_per_bin))
             return EXIT_OK
 
         counts = run_sweep(cfg.plan, cfg.source, cfg.detector, mode=cfg.mode)

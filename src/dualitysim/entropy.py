@@ -35,28 +35,13 @@ def h_max(dist):
     return float(out) if out.ndim == 0 else out
 
 
+@np.errstate(invalid="ignore")  # a row holding +inf and -inf sums to NaN, which is rejected, not warned about
 def _normalized(dist, entropy: str) -> np.ndarray:
     """The probabilities of a ProbDist, or of every row of an array, which must be nonnegative and normalized."""
     p = dist.probs if isinstance(dist, ProbDist) else np.asarray(dist, dtype=np.float64)
     if not np.all((p >= 0) & (np.abs(p.sum(axis=-1, keepdims=True) - 1.0) <= ATOL_NORM)):
         raise ContractViolation(f"{entropy} requires a normalized distribution")
     return p
-
-
-def h_min_binary(p):
-    """Min-entropy of the binary pair (p, 1-p); vectorized."""
-    p = np.asarray(p, dtype=np.float64)
-    _check_unit_range("p", p)
-    out = -np.log2(np.maximum(p, 1.0 - p)) + 0.0
-    return float(out) if out.ndim == 0 else out
-
-
-def h_max_binary(p):
-    """Max-entropy of the binary pair (p, 1-p); vectorized."""
-    p = np.asarray(p, dtype=np.float64)
-    _check_unit_range("p", p)
-    out = 2.0 * np.log2(np.sqrt(p) + np.sqrt(1.0 - p))
-    return float(out) if out.ndim == 0 else out
 
 
 def h_min_from_distinguishability(d):

@@ -27,9 +27,10 @@ cache keyed on (n, p).  The switch scenario reads one stream, chunk by
 chunk: every D1 uniform of a chunk, then every D2 uniform of it.  Two
 generators read the stream at those fixed positions, the D1 half on the
 calling thread and the D2 half on a second thread, so the draws and the bytes
-are those of reading the stream in order.  The input
-rules live in the plans: :class:`RunPlan` for a sweep, :class:`SwitchPlan`
-(its caps and whole bins of whole pulses) for a switch run.
+are those of reading the stream in order.  Both runs return bare counts
+that their plan describes, and the input rules live in the plans:
+:class:`RunPlan` for a sweep, :class:`SwitchPlan` (its caps, whole bins of
+whole pulses, segment rule and bin axes) for a switch run.
 """
 from __future__ import annotations
 
@@ -181,6 +182,12 @@ class RunPlan:
         return DEFAULT_COHERENCE_IDEAL if mode == IDEAL_MODE else DEFAULT_COHERENCE_MC
 
 
+def triangle_wave(t: np.ndarray, period: float) -> np.ndarray:
+    """Symmetric triangle 0 -> 2 pi -> 0 over one period: the phi_x modulator's full range."""
+    frac = np.mod(t / period, 1.0)
+    return 2.0 * math.pi * (1.0 - np.abs(2.0 * frac - 1.0))
+
+
 def is_whole(x: float) -> bool:
     """Whether x is a whole number of at least 1, to a relative tolerance of 1e-9."""
     return math.isfinite(x) and round(x) >= 1 and abs(x - round(x)) <= 1e-9 * x
@@ -216,7 +223,20 @@ class SwitchPlan:
         per_bin = self.bin_seconds * source.rep_rate
         if not is_whole(per_bin):
             raise ContractViolation(f"switch.bin_seconds * source.rep_rate must be a whole number of pulses, got {per_bin!r}")
-        return round(self.duration_s / self.bin_seconds), round(per_bin)
+        return self._bins(), round(per_bin)
+
+    def _bins(self) -> int:
+        """The run's bin count, which the plan's checks make a whole number of at least 1."""
+        return round(self.duration_s / self.bin_seconds)
+
+    def wave_segments(self, t: np.ndarray) -> np.ndarray:
+        """Whether each time ``t`` (s) lies in a wave segment, phi_s = pi/2; the run starts with phi_s = 0."""
+        return np.floor(t / self.toggle_period_s).astype(np.int64) % 2 == 1
+
+    def bin_axes(self) -> tuple:
+        """(t, phi_s, phi_x) at the centre of each bin of the run: the labels of its (detector, bin) counts."""
+        t = (np.arange(self._bins()) + 0.5) * self.bin_seconds
+        return t, np.where(self.wave_segments(t), math.pi / 2.0, 0.0), triangle_wave(t, self.triangle_period_s)
 
 
 def effective_mean_photons(source: SourceConfig, detector: DetectorConfig) -> float:
@@ -381,29 +401,6 @@ def run_sweep(
     return counts
 
 
-@dataclass(frozen=True)
-class SwitchTrace:
-    """Binned time series from the dynamic wave/particle switching run."""
-
-    t: np.ndarray
-    phi_s: np.ndarray
-    phi_x: np.ndarray
-    n1: np.ndarray
-    n2: np.ndarray
-    pulses_per_bin: int
-
-    def __post_init__(self):
-        sizes = {arr.size for arr in (self.t, self.phi_s, self.phi_x, self.n1, self.n2)}
-        if len(sizes) != 1:
-            raise ContractViolation("all trace arrays must have equal length")
-
-
-def triangle_wave(t: np.ndarray, period: float, amplitude: float = 2.0 * math.pi) -> np.ndarray:
-    """Symmetric triangle 0 -> amplitude -> 0 over one period."""
-    frac = np.mod(t / period, 1.0)
-    return amplitude * (1.0 - np.abs(2.0 * frac - 1.0))
-
-
 def _screen(rng: np.random.Generator, u: np.ndarray, below: np.ndarray, bound: float) -> np.ndarray:
     """Fill ``u`` with the generator's next uniforms; the positions of those below ``bound``.
 
@@ -439,12 +436,13 @@ def _on_second_thread(fn, *args):
 
 
 def run_dynamic_switch(plan: SwitchPlan, source: SourceConfig, detector: DetectorConfig, seed: int,
-                       coherence: float = 1.0) -> SwitchTrace:
-    """Continuous phi_x triangle sweep while phi_s toggles between 0 and pi/2.
+                       coherence: float = 1.0) -> np.ndarray:
+    """Clicks of a switching run in each bin: float64, shape (detector D1/D2, bin), in time order.
 
-    phi_s starts at 0 (which-path segments with flat, balanced rates) and
-    flips every ``plan.toggle_period_s`` to pi/2 (full-contrast fringe
-    segments).  The run is the bins of whole pulses that
+    phi_x sweeps a continuous triangle while phi_s toggles between 0
+    (particle segments: flat, balanced rates) and pi/2 (wave segments:
+    full-contrast fringes); :meth:`SwitchPlan.bin_axes` gives each bin's time
+    and phases.  The run is the bins of whole pulses that
     :meth:`SwitchPlan.pulses` gives, drawn from the stream seeded by ``seed``
     (in [0, 2^64)) at ``coherence`` (in [0, 1]).  Each chunk of
     SWITCH_CHUNK_PULSES pulses reads one uniform per pulse for D1, then one
@@ -491,19 +489,8 @@ def run_dynamic_switch(plan: SwitchPlan, source: SourceConfig, detector: Detecto
         det, idx = np.divmod(cand, size)
         t = (idx + start + 0.5) / source.rep_rate
         phi_x = triangle_wave(t, plan.triangle_period_s)
-        wave_segment = (np.floor(t / plan.toggle_period_s).astype(np.int64) % 2) == 1
-        sin_s = np.where(wave_segment, 1.0, 0.0)  # sin(phi_s) for phi_s in {0, pi/2}
+        sin_s = np.where(plan.wave_segments(t), 1.0, 0.0)  # sin(phi_s) for phi_s in {0, pi/2}
         p1 = open_p1(np.sin(phi_x), sin_s, coherence)
         hit = u[cand] < click_probs(np.where(det == 0, p1, 1.0 - p1), source, detector)
         counts += np.bincount(det[hit] * n_bins + (idx[hit] + start) // pulses_per_bin, minlength=2 * n_bins)
-
-    t_bin = (np.arange(n_bins) + 0.5) * plan.bin_seconds
-    phi_s_bin = np.where((np.floor(t_bin / plan.toggle_period_s).astype(np.int64) % 2) == 1, math.pi / 2.0, 0.0)
-    return SwitchTrace(
-        t=t_bin,
-        phi_s=phi_s_bin,
-        phi_x=triangle_wave(t_bin, plan.triangle_period_s),
-        n1=counts[:n_bins].astype(np.float64),
-        n2=counts[n_bins:].astype(np.float64),
-        pulses_per_bin=pulses_per_bin,
-    )
+    return counts.reshape(2, n_bins).astype(np.float64)

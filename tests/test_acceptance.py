@@ -18,10 +18,8 @@ from dualitysim import (
     FringeScan,
     RunPlan,
     duality_report,
-    h_max_binary,
     h_max_from_visibility,
     h_max_guessing_bound,
-    h_min_binary,
     h_min_from_distinguishability,
     matrix_probs,
     multi_photon_fraction,
@@ -48,8 +46,9 @@ def test_criterion_1_route_equivalence_identity():
     p = rng.uniform(0.0, 1.0, size=1_000_000)
     contrast = np.abs(2.0 * p - 1.0)
 
-    d_hmin = np.abs(h_min_binary(p) - h_min_from_distinguishability(contrast))
-    d_hmax = np.abs(h_max_binary(p) - h_max_from_visibility(contrast))
+    pairs = np.stack((p, 1.0 - p), axis=-1)  # the definition route's rows (p, 1 - p)
+    d_hmin = np.abs(h_min(pairs) - h_min_from_distinguishability(contrast))
+    d_hmax = np.abs(h_max(pairs) - h_max_from_visibility(contrast))
 
     # spot-check the scalar definition path end to end as well
     for q in p[:200]:

@@ -10,11 +10,9 @@ from dualitysim import (
     distinguishability_from_guessing,
     eur_check,
     h_max,
-    h_max_binary,
     h_max_from_visibility,
     h_max_guessing_bound,
     h_min,
-    h_min_binary,
     h_min_from_distinguishability,
     visibility_from_guessing,
     wpdr_check,
@@ -24,6 +22,11 @@ from dualitysim.entropy import duality_columns
 
 def dist(*probs):
     return ProbDist(np.array(probs, dtype=float))
+
+
+def pairs(p):
+    """The binary distributions (p, 1 - p), one row per entry of ``p``."""
+    return np.stack((p, 1.0 - p), axis=-1)
 
 
 class TestUnconditionalEntropies:
@@ -95,9 +98,9 @@ class TestClosedForms:
     @pytest.mark.parametrize("as_array", [False, True], ids=["scalar", "array"])
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, -2e-12, 1.0 + 2e-12])
     @pytest.mark.parametrize("check", [
-        h_min_binary, h_max_binary, h_min_from_distinguishability, h_max_from_visibility,
+        lambda x: h_min(pairs(x)), lambda x: h_max(pairs(x)), h_min_from_distinguishability, h_max_from_visibility,
         lambda x: wpdr_check(x, 0.5), lambda x: wpdr_check(0.5, x),
-    ], ids=["h_min_binary", "h_max_binary", "h_min_from_d", "h_max_from_v", "wpdr_d", "wpdr_v"])
+    ], ids=["h_min_pairs", "h_max_pairs", "h_min_from_d", "h_max_from_v", "wpdr_d", "wpdr_v"])
     def test_non_finite_or_beyond_tolerance_rejected(self, check, bad, as_array):
         with pytest.raises(ContractViolation):
             check(np.array([0.0, 0.5, bad, 1.0]) if as_array else bad)
@@ -122,7 +125,7 @@ class TestBinaryIdentities:
         rng = np.random.default_rng(2)
         p = rng.uniform(0.0, 1.0, size=100_000)
         c = np.abs(2.0 * p - 1.0)
-        diff = np.abs(h_min_binary(p) - h_min_from_distinguishability(c))
+        diff = np.abs(h_min(pairs(p)) - h_min_from_distinguishability(c))
         assert diff.max() < 1e-12
 
     def test_max_entropy_identity(self):
@@ -131,10 +134,10 @@ class TestBinaryIdentities:
         rng = np.random.default_rng(3)
         p = rng.uniform(0.0, 1.0, size=100_000)
         c = np.abs(2.0 * p - 1.0)
-        diff = np.abs(h_max_binary(p) - h_max_from_visibility(c))
+        diff = np.abs(h_max(pairs(p)) - h_max_from_visibility(c))
         assert diff.max() < 1e-12
         direct = np.log2(1.0 + np.sqrt((1.0 - c) * (1.0 + c)))
-        assert np.max(np.abs(h_max_binary(p) - direct)) < 1e-12
+        assert np.max(np.abs(h_max(pairs(p)) - direct)) < 1e-12
 
     def test_definition_matches_closed_form_through_probdist(self):
         rng = np.random.default_rng(4)

@@ -12,7 +12,8 @@ duality.csv does not carry every reported quantity (the WPDR sigma, the bound
 and clamp flags, the dropped points, the route equivalence and the
 violations), so report.json is pinned too: the digest covers its
 ``REPORT_KEYS``, and leaves out the provenance, whose ``config.output_dir``
-and ``config_sha256`` change with ``--out``.
+and ``config_sha256`` change with ``--out``.  The switch's report.json holds no
+points: its run size, ``bins`` and ``pulses_per_bin``, is pinned as literals.
 
 The low-count sweep (4000 pulses per point, coherence 0) reaches the
 scorecard's edge branches, which the reference runs do not: 14 zero-count
@@ -106,6 +107,10 @@ REPORT_DIGESTS = {
     "verify_ideal": "ff63e2fd27e3a2b24f64b0c705bab9c57b12616a644488b697a0bb025176857d",
 }
 
+SWITCH_REPORTS = {
+    "reference_switch": {"bins": 120, "pulses_per_bin": 90_000},
+}
+
 
 def run_golden(name, out, capsys) -> str:
     """Run golden ``name`` into ``out``, check its exit code and stderr, and return its stdout."""
@@ -143,6 +148,14 @@ def test_report_digests(name, tmp_path, capsys):
     report = json.loads((tmp_path / "report.json").read_text())
     blob = json.dumps({k: report[k] for k in REPORT_KEYS}, sort_keys=True)
     assert hashlib.sha256(blob.encode()).hexdigest() == REPORT_DIGESTS[name], f"{name}/report.json changed"
+
+
+@pytest.mark.parametrize("name", sorted(SWITCH_REPORTS))
+def test_switch_report_run_size(name, tmp_path, capsys):
+    run_golden(name, tmp_path, capsys)
+    report = json.loads((tmp_path / "report.json").read_text())
+    got = {k: report[k] for k in SWITCH_REPORTS[name]}
+    assert got == SWITCH_REPORTS[name] and all(type(v) is int for v in got.values())
 
 
 # The reference sweep with its block axis reversed: fringes.csv lists each phi_s's scans in the new order, while

@@ -344,10 +344,11 @@ class TestDynamicSwitch:
     def test_screened_sampler_matches_per_pulse_model(self, name, monkeypatch):
         chunk, case = SWITCH_CASES[name]
         monkeypatch.setattr(montecarlo, "SWITCH_CHUNK_PULSES", chunk)
-        trace = run_dynamic_switch(*case)
-        counts = per_pulse_switch(*case)
-        assert np.array_equal(trace.n1, counts[0]) and np.array_equal(trace.n2, counts[1])
-        assert counts.sum() > 0
+        counts = run_dynamic_switch(*case)
+        reference = per_pulse_switch(*case)
+        assert counts.dtype == np.float64 and counts.shape == reference.shape
+        assert np.array_equal(counts, reference)
+        assert reference.sum() > 0
 
     @pytest.mark.parametrize("seed, coherence", [
         (-1, 1.0), (2**64, 1.0), (2**70, 1.0), (1.5, 1.0), (True, 1.0), (0, -0.1), (0, 2.0), (0, math.nan),
@@ -383,33 +384,37 @@ class TestDynamicSwitch:
         )
 
     def test_alternating_segments(self):
-        trace = run_dynamic_switch(REFERENCE_SWITCH, SRC, DET, seed=2, coherence=1.0)
-        segments = np.floor(trace.t / 18.0).astype(int)
+        t, phi_s, phi_x = REFERENCE_SWITCH.bin_axes()
+        assert t.size == phi_s.size == phi_x.size == 120
+        segments = np.floor(t / 18.0).astype(int)
         assert segments.max() == 3  # four 18 s segments in 72 s
         for seg in range(4):
             expect = 0.0 if seg % 2 == 0 else math.pi / 2
-            assert np.all(trace.phi_s[segments == seg] == expect)
+            assert np.all(phi_s[segments == seg] == expect)
+            assert np.array_equal(REFERENCE_SWITCH.wave_segments(t[segments == seg]), np.full(30, seg % 2 == 1))
 
     def test_particle_segments_flat_wave_segments_fringe(self):
-        trace = run_dynamic_switch(REFERENCE_SWITCH, SRC, DET, seed=2, coherence=1.0)
-        total = trace.n1 + trace.n2
+        n1, n2 = run_dynamic_switch(REFERENCE_SWITCH, SRC, DET, seed=2, coherence=1.0)
+        t, phi_s, _ = REFERENCE_SWITCH.bin_axes()
+        total = n1 + n2
         keep = total > 0
-        phat = trace.n1[keep] / total[keep]
-        wave = trace.phi_s[keep] > 0
+        phat = n1[keep] / total[keep]
+        wave = phi_s[keep] > 0
         # mirror segments: every bucket consistent with the balanced level
         z = np.abs(phat[~wave] - 0.5) / np.sqrt(0.25 / total[keep][~wave])
         assert z.max() <= 3.0
         # splitter segments: the triangle sweep traces high-contrast fringes
         for seg in (1, 3):
-            m = (np.floor(trace.t[keep] / 18.0).astype(int) == seg)
+            m = (np.floor(t[keep] / 18.0).astype(int) == seg)
             assert phat[m].max() - phat[m].min() > 0.8
 
     def test_zero_coherence_kills_interference(self):
-        trace = run_dynamic_switch(SwitchPlan(36.0, 18.0, 6.0, bin_seconds=1.0), SRC, DET, seed=4, coherence=0.0)
-        segments = np.floor(trace.t / 18.0).astype(int)
+        plan = SwitchPlan(36.0, 18.0, 6.0, bin_seconds=1.0)
+        counts = run_dynamic_switch(plan, SRC, DET, seed=4, coherence=0.0)
+        segments = np.floor(plan.bin_axes()[0] / 18.0).astype(int)
         for seg in range(2):
             m = segments == seg
-            n1, tot = trace.n1[m].sum(), (trace.n1 + trace.n2)[m].sum()
+            n1, tot = counts[0, m].sum(), counts[:, m].sum()
             z = abs(n1 / tot - 0.5) / math.sqrt(0.25 / tot)
             assert z <= 3.0
 
@@ -432,15 +437,17 @@ class TestDynamicSwitch:
     ])
     def test_every_bin_holds_pulses_per_bin(self, duration_s, bin_seconds, rep_rate, bins, per_bin):
         # with dark_prob 1 every pulse clicks at both detectors, so each bin counts its pulses
-        trace = run_dynamic_switch(SwitchPlan(duration_s, 0.01, 0.004, bin_seconds), SourceConfig(rep_rate=rep_rate),
-                                   DetectorConfig(dark_prob=1.0), seed=1)
-        assert trace.pulses_per_bin == per_bin and trace.t.size == bins
-        assert np.all(trace.n1 == per_bin) and np.all(trace.n2 == per_bin)
-        assert trace.t[-1] < duration_s
+        plan, source = SwitchPlan(duration_s, 0.01, 0.004, bin_seconds), SourceConfig(rep_rate=rep_rate)
+        counts = run_dynamic_switch(plan, source, DetectorConfig(dark_prob=1.0), seed=1)
+        t = plan.bin_axes()[0]
+        assert plan.pulses(source) == (bins, per_bin)
+        assert counts.shape == (2, bins) and t.size == bins
+        assert np.all(counts == per_bin)
+        assert t[-1] < duration_s
 
     def test_deterministic_for_seed(self):
         a, b = (run_dynamic_switch(SwitchPlan(10.0, 5.0, 2.0, 0.5), SRC, DET, seed=8) for _ in range(2))
-        assert np.array_equal(a.n1, b.n1) and np.array_equal(a.n2, b.n2)
+        assert np.array_equal(a, b)
 
 
 class TestDeviceConfig:
