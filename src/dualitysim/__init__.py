@@ -21,14 +21,7 @@ from .entropy import (
     wpdr_check,
 )
 from .errors import ConfigError, ContractViolation, EstimationError
-from .estimators import (
-    FlatnessCheck,
-    FringeFit,
-    FringeScan,
-    duality_report,
-    fit_fringe,
-    flatness_check,
-)
+from .estimators import duality_report, flatness_check
 from .montecarlo import (
     DetectorConfig,
     RunPlan,

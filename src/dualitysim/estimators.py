@@ -19,8 +19,7 @@ equal to the count, and no bootstrap.  One helper carries the propagation
 through every contrast ratio (a - b)/(a + b), and one carries the V and D
 sigmas into both routes' entropy and bound sigmas.  Fringe extrema are taken
 directly from the measured grid (argmax/argmin, ties broken toward the lowest
-phi_x): the optional sinusoid fit below is presentation-only and never feeds
-entropies.
+phi_x), so no fitted model feeds the entropies.
 
 The scorecard is one array pass.  :func:`duality_report` slices a sweep's
 counts (phi_s, block, detector, phi_x) into each block's rows and computes
@@ -28,12 +27,13 @@ the grid extrema, V, D, both routes, their sigmas and the route equivalence
 for all rows at once, and returns them as named columns, one entry per
 phi_s, nested as a report.json point nests them.  Each stage reports its
 failed checks per row instead of raising, so a sweep raises the error of its
-first failing setting, as a loop over the settings would.
+first failing setting, as a loop over the settings would.  The particle-side
+test, :func:`flatness_check`, reads the same row view of any stack of
+(detector, phi_x) rows.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -46,44 +46,23 @@ LN2 = math.log(2.0)
 # Fewest usable phi_x points a visibility estimate accepts.
 MIN_FRINGE_POINTS = 8
 
-
-@dataclass(frozen=True)
-class FringeScan:
-    """Counts at both detectors along a phi_x sweep at one setting."""
-
-    phi_x: np.ndarray
-    n1: np.ndarray
-    n2: np.ndarray
-
-    def __post_init__(self):
-        for name in ("phi_x", "n1", "n2"):
-            arr = np.array(getattr(self, name), dtype=np.float64, ndmin=1)  # always a copy
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
-        if self.phi_x.size == 0:
-            raise ContractViolation("scan needs at least one point")
-        if not (self.phi_x.size == self.n1.size == self.n2.size):
-            raise ContractViolation("phi_x, n1, n2 must have equal lengths")
-        if (np.diff(self.phi_x) <= 0).any():
-            raise ContractViolation("phi_x must be strictly increasing")
-        for name, arr in (("n1", self.n1), ("n2", self.n2)):
-            if not ((arr >= 0) & (arr < np.inf)).all():  # NaN fails both
-                raise ContractViolation(f"{name} counts must be finite and nonnegative")
-
-    @property
-    def totals(self) -> np.ndarray:
-        return self.n1 + self.n2
+# A flat scan's p_hat spread stays within this many sigmas of its two extremal points.
+FLATNESS_SIGMAS = 3.0
 
 
-def _kept(scan: FringeScan):
-    keep = scan.totals > 0
-    if not np.any(keep):
-        raise EstimationError("all points in scan have zero counts")
-    return keep
+def _check_counts(counts: np.ndarray) -> None:
+    """Raise ContractViolation at the first count, in C order, that is not finite, nonnegative and below 2^63.
+
+    The message names that count's detector, its index on axis -2.
+    """
+    # NaN fails both; no sweep counts 2^63 or more, and counts near 1e154 would overflow the sigmas' squares
+    bad = np.argwhere(~((counts >= 0) & (counts < 2.0**63)))
+    if bad.size:
+        raise ContractViolation(f"n{bad[0][-2] + 1} counts must be finite and nonnegative and below 2^63")
 
 
 class _Rows:
-    """One block's (phi_s, detector, phi_x) counts, with each row's kept points and p_hat = n1/(n1+n2) extrema.
+    """Rows of (row, detector, phi_x) counts, with each row's kept points, p_hat = n1/(n1+n2) and its extrema.
 
     The extrema are grid indices over the kept (nonzero-total) points, ties
     broken toward the lowest phi_x.
@@ -94,9 +73,9 @@ class _Rows:
         self.totals = self.n1 + self.n2
         self.keep = self.totals > 0
         with np.errstate(invalid="ignore"):
-            phat = self.n1 / self.totals
-        self.i_max = np.where(self.keep, phat, -np.inf).argmax(axis=-1)
-        self.i_min = np.where(self.keep, phat, np.inf).argmin(axis=-1)
+            self.phat = self.n1 / self.totals
+        self.i_max = np.where(self.keep, self.phat, -np.inf).argmax(axis=-1)
+        self.i_min = np.where(self.keep, self.phat, np.inf).argmin(axis=-1)
 
 
 def _at(a: np.ndarray, index: np.ndarray) -> np.ndarray:
@@ -189,11 +168,10 @@ def _distinguishability(b0: _Rows, b1: _Rows):
     ]
 
 
-@np.errstate(divide="ignore", invalid="ignore")
 def _fringe_pair(rows: _Rows):
-    """Per open row, the detector-1 probabilities and totals at both fringe extrema, with the pair's checks."""
+    """Per row, the detector-1 probabilities and totals at both fringe extrema, with an open row's checks of them."""
     t_max, t_min = _at(rows.totals, rows.i_max), _at(rows.totals, rows.i_min)
-    p_max, p_min = _at(rows.n1, rows.i_max) / t_max, _at(rows.n1, rows.i_min) / t_min
+    p_max, p_min = _at(rows.phat, rows.i_max), _at(rows.phat, rows.i_min)
     return (p_max, p_min, t_max, t_min), [
         (p_max + p_min <= 0, EstimationError, "zero detector-1 probability at both fringe extrema"),
     ]
@@ -264,10 +242,7 @@ def duality_report(plan, counts) -> dict:
     counts = np.asarray(counts, dtype=np.float64)
     if counts.shape != (len(plan.phi_s_values), len(plan.blocks), 2, plan.phi_x_grid[2]):
         raise ContractViolation(f"counts need the plan's (phi_s, block, detector, phi_x) shape, not {counts.shape}")
-    # NaN fails both; no sweep counts 2^63 or more, and counts near 1e154 would overflow the sigmas' squares
-    bad = np.argwhere(~((counts >= 0) & (counts < 2.0**63)))  # rows come in plan order
-    if bad.size:
-        raise ContractViolation(f"n{bad[0][2] + 1} counts must be finite and nonnegative and below 2^63")
+    _check_counts(counts)
     op, b0, b1 = (_Rows(counts[:, plan.blocks.index(block)]) for block in BLOCKS)
     v, sigma_v, v_checks = _visibility(op, plan.phi_x_values())
     d, sigma_d, d_checks = _distinguishability(b0, b1)
@@ -286,70 +261,32 @@ def duality_report(plan, counts) -> dict:
     }
 
 
-@dataclass(frozen=True)
-class FlatnessCheck:
-    """Range-vs-allowance test of phi_x independence for one scan."""
+def flatness_check(counts) -> dict:
+    """Test whether each row's per-point probabilities are constant in phi_x.
 
-    spread: float
-    allowance: float
-    flat: bool
-    pooled_probability: float
-
-
-def flatness_check(scan: FringeScan, n_sigma: float = 3.0) -> FlatnessCheck:
-    """Test whether the per-point probabilities are constant in phi_x.
-
-    Compares the spread max - min of p_hat = n1/(n1+n2) against n_sigma times
-    the combined binomial sigma of the two extremal points, evaluated under
-    the flat hypothesis (pooled probability), so a point that happened to
-    collect all its counts in one detector still carries its proper
-    uncertainty.  Blocked scans must pass this for every phi_s.
+    ``counts`` is any array of (detector, phi_x) rows, shape (..., 2, points)
+    with D1 first: one row, a sweep's ``counts[:, b]`` or any stack.  Each
+    row's spread max - min of p_hat = n1/(n1+n2) over its kept points is
+    compared against FLATNESS_SIGMAS times the combined binomial sigma of the
+    two extremal points, evaluated under the flat hypothesis (the probability
+    pooled over the kept points), so a point that happened to collect all its
+    counts in one detector still carries its proper uncertainty.  Blocked
+    scans must pass this for every phi_s.  Returns ``flat``, ``spread`` and
+    ``allowance`` as arrays of the rows' leading shape; a row with no counts
+    at all raises, the first such row in C order.
     """
-    keep = _kept(scan)
-    idx = np.flatnonzero(keep)
-    totals = scan.totals[idx]
-    phat = scan.n1[idx] / totals
-    pooled = float(scan.n1[idx].sum() / totals.sum())
-    i_max, i_min = int(np.argmax(phat)), int(np.argmin(phat))
-    spread = float(phat[i_max] - phat[i_min])
+    counts = np.asarray(counts, dtype=np.float64)
+    if counts.ndim < 2 or counts.shape[-2] != 2 or counts.shape[-1] == 0:
+        raise ContractViolation(f"counts need a (..., 2, phi_x) shape with at least one point, not {counts.shape}")
+    _check_counts(counts)
+    rows = _Rows(counts.reshape(-1, *counts.shape[-2:]))
+    _raise_first([(~rows.keep.any(axis=-1), EstimationError, "all points in scan have zero counts")])
+    # a dropped point holds no counts, so these sums over all points are the sums over the kept ones
+    pooled = rows.n1.sum(axis=-1) / rows.totals.sum(axis=-1)
     null_var = pooled * (1.0 - pooled)
-    allowance = n_sigma * (
-        math.sqrt(null_var / totals[i_max]) + math.sqrt(null_var / totals[i_min])
-    )
-    return FlatnessCheck(
-        spread=spread, allowance=allowance, flat=bool(spread <= allowance),
-        pooled_probability=pooled,
-    )
-
-
-@dataclass(frozen=True)
-class FringeFit:
-    """Least-squares sinusoid p(phi_x) = offset + amplitude sin(phi_x + phase)."""
-
-    offset: float
-    amplitude: float
-    phase: float
-    residual_rms: float
-
-
-def fit_fringe(scan: FringeScan) -> FringeFit:
-    """Presentation-only sinusoid fit of the per-point probabilities.
-
-    Never feeds the entropy estimates; the estimators use grid extrema so the
-    reported quantities import no model assumptions.
-    """
-    keep = _kept(scan)
-    x = scan.phi_x[keep]
-    if x.size < 3:
-        raise EstimationError("need at least 3 usable points to fit a fringe")
-    phat = scan.n1[keep] / scan.totals[keep]
-    basis = np.column_stack([np.ones_like(x), np.sin(x), np.cos(x)])
-    coeff, *_ = np.linalg.lstsq(basis, phat, rcond=None)
-    c0, cs, cc = (float(c) for c in coeff)
-    residual = phat - basis @ coeff
-    return FringeFit(
-        offset=c0,
-        amplitude=math.hypot(cs, cc),
-        phase=math.atan2(cc, cs),
-        residual_rms=float(np.sqrt(np.mean(residual**2))),
-    )
+    (p_max, p_min, t_max, t_min), _ = _fringe_pair(rows)  # a blocked row may put no D1 count at either extremum
+    spread = p_max - p_min
+    allowance = FLATNESS_SIGMAS * (np.sqrt(null_var / t_max) + np.sqrt(null_var / t_min))
+    lead = counts.shape[:-2]
+    return {"flat": (spread <= allowance).reshape(lead), "spread": spread.reshape(lead),
+            "allowance": allowance.reshape(lead)}

@@ -112,15 +112,13 @@ def sagnac_effective(phi_s: float) -> OpticalElement:
     return compose(bs2, compose(pm2, bs2))
 
 
-@lru_cache(maxsize=64)
-def path_blocker(dim: int, path: int, transmissivity: float = 0.0) -> OpticalElement:
-    """Ideal (or partial) attenuator on one path; transmissivity 0 blocks it."""
-    if not 0.0 <= transmissivity <= 1.0:
-        raise ContractViolation(f"transmissivity must lie in [0, 1], got {transmissivity}")
-    if not 0 <= path < dim:
-        raise ContractViolation(f"path {path} outside 0..{dim - 1}")
-    diag = np.ones(dim, dtype=np.complex128)
-    diag[path] = math.sqrt(transmissivity)
+@lru_cache(maxsize=2)
+def path_blocker(path: int) -> OpticalElement:
+    """Ideal blocker of one of the two paths."""
+    if not 0 <= path < 2:
+        raise ContractViolation(f"path {path} outside 0..1")
+    diag = np.ones(2, dtype=np.complex128)
+    diag[path] = 0.0
     return OpticalElement(np.diag(diag), ATTENUATOR)
 
 
@@ -139,7 +137,7 @@ def matrix_probs(phi_x, phi_s: float, block: str = BLOCK_NONE, coherence: float 
     rho = amps[..., :, None] * amps[..., None, :].conj() * np.array([[1.0, coherence], [coherence, 1.0]])
     out = sagnac_effective(phi_s).matrix
     if block != BLOCK_NONE:
-        out = out @ path_blocker(2, 0 if block == BLOCK_PATH0 else 1).matrix
+        out = out @ path_blocker(0 if block == BLOCK_PATH0 else 1).matrix
     ports = np.einsum("pk,...kl,pl->p...", out, rho, out.conj()).real
     return ports[[1, 0]]
 

@@ -3,6 +3,9 @@ import csv
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 from dataclasses import asdict, replace
 from pathlib import Path
 
@@ -405,6 +408,13 @@ UNUSABLE_INPUTS = {
        for name in ("toggle_period_s", "triangle_period_s")
        for label, period in (("1e-300", 1e-300), ("half_a_pulse", 0.5 / 150e3))},
     "sweep_cells_beyond_cap": ("sweep", {"plan": {"phi_s_values": [0.1] * 33, "phi_x_grid": [0, "2pi", 2**16]}}),
+    # 2^63 - 1 pulses count 2^63 once stored as float64 counts: at p1 = 1, and with every gate a dark count.
+    "pulses_rounding_to_2_to_the_63_ideal": (
+        "eur-verify", {"mode": "ideal", "plan": {"phi_s_values": ["pi/2"], "pulses_per_point": 2**63 - 1}},
+    ),
+    "pulses_rounding_to_2_to_the_63_dark": (
+        "sweep", {"plan": {"phi_x_grid": [0, "2pi", 8], "pulses_per_point": 2**63 - 1}, "detector": {"dark_prob": 1}},
+    ),
 }
 
 
@@ -417,6 +427,16 @@ def test_unusable_inputs_exit_1_with_one_line(name, tmp_path, capsys):
     assert code == EXIT_CONFIG
     assert len(err.splitlines()) == 1 and err.startswith("error: ")
     assert "Traceback" not in err
+
+
+def test_cli_import_leaves_slow_stdlib_modules_unloaded():
+    # concurrent.futures and logging alone cost about 9-10 ms of a fresh interpreter's start-up
+    unwanted = ("concurrent.futures", "logging", "multiprocessing", "asyncio")
+    code = f"import sys, dualitysim.cli; print(*[m for m in {unwanted!r} if m in sys.modules])"
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "\n"
 
 
 def test_switch_period_of_one_pulse_runs(tmp_path, capsys):

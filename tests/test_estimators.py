@@ -1,6 +1,7 @@
 import dataclasses
 import math
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -11,11 +12,10 @@ from dualitysim import (
     BLOCKS,
     ContractViolation,
     EstimationError,
-    FringeScan,
     ProbDist,
     RunPlan,
     duality_report,
-    fit_fringe,
+    flatness_check,
     h_max,
     h_max_from_visibility,
     h_min,
@@ -24,16 +24,15 @@ from dualitysim import (
 )
 from dualitysim.cli import _points
 from dualitysim.entropy import duality_columns
-from dualitysim.estimators import MIN_FRINGE_POINTS, flatness_check
+from dualitysim.estimators import MIN_FRINGE_POINTS
 from dualitysim.tolerances import ATOL_ALGEBRAIC, INEQ_SLACK
 
 PHI_X_16 = np.linspace(0.0, 2.0 * math.pi, 16, endpoint=False)
 
 
-def scan(n1, n2, phi_x=PHI_X_16):
-    """A hand-built scan, as flatness_check and fit_fringe take it."""
-    n1 = np.asarray(n1, dtype=float)
-    return FringeScan(phi_x=phi_x[: n1.size], n1=n1, n2=np.asarray(n2, dtype=float))
+def row(n1, n2):
+    """A hand-built (detector, phi_x) row, as flatness_check takes it."""
+    return np.array([n1, n2], dtype=float)
 
 
 def score(open_counts, b0_counts, b1_counts, phi_s=0.0, grid=None):
@@ -298,85 +297,68 @@ class TestEquivalenceAndReports:
             assert _bits(_points(duality_report(reordered, by_hand))) == want
 
 
-def _scan_fields(**changes):
-    fields = dict(phi_x=PHI_X_16[:4], n1=np.full(4, 2.0), n2=np.full(4, 3.0))
-    return {**fields, **changes}
-
-
-def _with(name, i, value):
-    arr = _scan_fields()[name].copy()
-    arr[i] = value
-    return {name: arr}
-
-
-# Each fault of FringeScan's contract, in the order the checks run, with its message.
-SCAN_FAULTS = [
-    ("empty_scan", {"phi_x": [], "n1": [], "n2": []}, "scan needs at least one point"),
-    ("unequal_lengths", {"n2": np.full(3, 3.0)}, "phi_x, n1, n2 must have equal lengths"),
-    ("repeated_phi_x", _with("phi_x", 2, PHI_X_16[1]), "phi_x must be strictly increasing"),
-    ("decreasing_phi_x", {"phi_x": PHI_X_16[:4][::-1]}, "phi_x must be strictly increasing"),
-    *[(f"{name}_{label}", _with(name, 1, value), f"{name} counts must be finite and nonnegative")
-      for name in ("n1", "n2")
-      for label, value in (("negative", -1.0), ("nan", math.nan), ("inf", math.inf), ("minus_inf", -math.inf))],
+# Each fault of flatness_check's input, with its message: a shape without a
+# detector axis of 2 or without points, and each bad count in either detector.
+SHAPE_MESSAGE = r"counts need a \(\.\.\., 2, phi_x\) shape with at least one point"
+FLATNESS_FAULTS = [
+    *[(name, np.ones(shape), SHAPE_MESSAGE) for name, shape in (
+        ("zero_d", ()), ("one_d", (16,)), ("three_detectors", (3, 16)), ("one_detector_stack", (4, 1, 16)),
+        ("no_points", (2, 0)), ("stack_without_points", (3, 2, 0)))],
+    *[(f"n{det + 1}_{label}", np.where(np.arange(2)[:, None] == det, np.full((2, 4), value), 2.0),
+       rf"n{det + 1} counts must be finite and nonnegative and below 2\^63$")
+      for det in (0, 1)
+      for label, value in (("negative", -1.0), ("nan", math.nan), ("inf", math.inf), ("minus_inf", -math.inf),
+                           ("2_to_the_63", 2.0**63))],
 ]
 
 
-class TestScanValidation:
-    @pytest.mark.parametrize("changes,message", [f[1:] for f in SCAN_FAULTS], ids=[f[0] for f in SCAN_FAULTS])
-    def test_each_fault_raises_its_message(self, changes, message):
+class TestFlatnessInputs:
+    @pytest.mark.parametrize("counts,message", [f[1:] for f in FLATNESS_FAULTS], ids=[f[0] for f in FLATNESS_FAULTS])
+    def test_each_fault_raises_its_message(self, counts, message):
         with pytest.raises(ContractViolation, match=f"^{message}"):
-            FringeScan(**_scan_fields(**changes))
+            flatness_check(counts)
 
-    def test_checks_run_in_order(self):
-        # Two faults in different fields: the one whose check comes first is reported.
-        pairs = 0
-        for i, (_, first, message) in enumerate(SCAN_FAULTS):
-            for _, later, later_message in SCAN_FAULTS[i + 1:]:
-                if later_message != message and not set(first) & set(later):
-                    pairs += 1
-                    with pytest.raises(ContractViolation, match=f"^{message}"):
-                        FringeScan(**_scan_fields(**later, **first))
-        assert pairs == 38
+    def test_first_bad_count_in_c_order_names_its_detector(self):
+        # the whole D1 row comes before D2 in a row, and every row of a stack before the next
+        counts = np.ones((2, 3, 2, 16))
+        counts[1, 0, 0, 0] = counts[0, 2, 1, 15] = math.nan
+        with pytest.raises(ContractViolation, match="^n2 counts"):
+            flatness_check(counts)
+        counts[0, 2, 0, 15] = -1.0
+        with pytest.raises(ContractViolation, match="^n1 counts"):
+            flatness_check(counts)
 
-    def test_stores_read_only_float64_copies(self):
-        phi_x, n1, n2 = PHI_X_16[:4].copy(), np.arange(4, dtype=np.int64), [1, 2, 3, 4]
-        s = FringeScan(phi_x, n1, n2)
-        for stored in (s.phi_x, s.n1, s.n2):
-            assert stored.dtype == np.float64 and not stored.flags.writeable
-            with pytest.raises(ValueError):
-                stored[0] = 7.0
-        phi_x[0], n1[0] = -1.0, 99
-        assert s.phi_x[0] == 0.0 and s.n1[0] == 0.0
-        assert not np.shares_memory(s.phi_x, phi_x)
+    def test_first_empty_row_in_c_order_raises(self):
+        counts = np.ones((2, 3, 2, 16))
+        counts[1, 0] = counts[0, 2] = 0.0
+        with pytest.raises(EstimationError, match="^all points in scan have zero counts$"):
+            flatness_check(counts)
 
-    def test_zero_d_inputs_become_one_point(self):
-        s = FringeScan(np.float64(0.5), np.array(3.0), 4)
-        assert s.phi_x.shape == s.n1.shape == s.n2.shape == (1,)
-        assert (s.phi_x[0], s.n1[0], s.n2[0]) == (0.5, 3.0, 4.0)
+    def test_largest_float_below_2_to_the_63_passes(self):
+        assert flatness_check(row(np.full(8, 2.0**63 - 1024.0), np.full(8, 2.0**63 - 1024.0)))["flat"]
 
 
-class TestFlatnessAndFit:
+class TestFlatness:
     def test_flat_scan_passes(self):
-        s = scan(np.full(16, 40.0), np.full(16, 38.0))
-        assert flatness_check(s).flat
+        assert flatness_check(row(np.full(16, 40.0), np.full(16, 38.0)))["flat"]
 
     def test_fringing_scan_fails(self):
         p = 0.5 * (1.0 + 0.9 * np.sin(PHI_X_16))
-        s = scan(1000 * p, 1000 * (1 - p))
-        assert not flatness_check(s).flat
+        assert not flatness_check(row(1000 * p, 1000 * (1 - p)))["flat"]
 
     def test_degenerate_one_sided_scan_passes(self):
-        s = scan(np.full(16, 40.0), np.zeros(16))
-        check = flatness_check(s)
-        assert check.flat and check.spread == 0.0
+        check = flatness_check(row(np.full(16, 40.0), np.zeros(16)))
+        assert check["flat"] and check["spread"] == 0.0
 
-    def test_fit_recovers_clean_fringe(self):
-        p = 0.5 * (1.0 + 0.8 * np.sin(PHI_X_16 + 0.3))
-        fit = fit_fringe(scan(10_000 * p, 10_000 * (1 - p)))
-        assert fit.amplitude == pytest.approx(0.4, abs=1e-9)
-        assert fit.offset == pytest.approx(0.5, abs=1e-9)
-        assert fit.phase == pytest.approx(0.3, abs=1e-9)
-        assert fit.residual_rms < 1e-9
+    @pytest.mark.parametrize("lead", [(), (1,), (3,), (2, 4), (0,), (2, 0, 3)])
+    def test_results_take_the_rows_leading_shape(self, lead):
+        p = 0.5 * (1.0 + 0.9 * np.sin(PHI_X_16))
+        counts = np.broadcast_to(row(1000 * p, 1000 * (1 - p)), lead + (2, 16))
+        check = flatness_check(counts)
+        assert set(check) == {"flat", "spread", "allowance"}
+        for name, dtype in (("flat", bool), ("spread", float), ("allowance", float)):
+            assert check[name].shape == lead and check[name].dtype == dtype
+        assert not check["flat"].any()
 
 
 # The per-setting scalar scorecard that the array pass of duality_report
@@ -692,3 +674,96 @@ class TestArrayPassMatchesReference:
         first, second = (assert_same_as_reference([case], blocks) for case in broken)
         assert isinstance(first, tuple) and isinstance(second, tuple) and first != second
         assert assert_same_as_reference([good, broken[0], good, broken[1]], blocks) == first
+
+
+# The per-scan flatness check that the row pass of flatness_check replaced,
+# kept as its reference; with the _ref_kept above, its _kept, it reads one
+# scan's n1, n2 and totals.  Every row's flat, spread and allowance must come
+# out bit for bit, and the first empty row in C order raise the same error.
+
+def _ref_flatness_check(scan, n_sigma=3.0):
+    keep = _ref_kept(scan)
+    idx = np.flatnonzero(keep)
+    totals = scan.totals[idx]
+    phat = scan.n1[idx] / totals
+    pooled = float(scan.n1[idx].sum() / totals.sum())
+    i_max, i_min = int(np.argmax(phat)), int(np.argmin(phat))
+    spread = float(phat[i_max] - phat[i_min])
+    null_var = pooled * (1.0 - pooled)
+    allowance = n_sigma * (
+        math.sqrt(null_var / totals[i_max]) + math.sqrt(null_var / totals[i_min])
+    )
+    return dict(
+        spread=spread, allowance=allowance, flat=bool(spread <= allowance),
+        pooled_probability=pooled,
+    )
+
+
+def assert_flatness_as_reference(counts):
+    """flatness_check over a stack of rows gives what the reference gives row by row, in C order."""
+    lead = counts.shape[:-2]
+
+    def reference():
+        checks = [_ref_flatness_check(SimpleNamespace(n1=n1, n2=n2, totals=n1 + n2))
+                  for n1, n2 in counts.reshape(-1, *counts.shape[-2:])]
+        return {name: np.array([c[name] for c in checks], dtype=dtype).reshape(lead)
+                for name, dtype in (("flat", bool), ("spread", float), ("allowance", float))}
+
+    want, got = _outcome(reference), _outcome(lambda: flatness_check(counts))
+    if isinstance(want, tuple):
+        assert got == want
+    else:
+        assert set(got) == set(want)
+        for name in want:
+            assert got[name].shape == lead and got[name].dtype == want[name].dtype
+            assert got[name].tobytes() == want[name].tobytes(), name
+    return got
+
+
+ROW_KINDS = ("drawn", "drawn", "one_sided", "sampled", "sampled", "all_zero")
+
+
+@st.composite
+def flatness_stacks(draw):
+    """A stack of (detector, phi_x) rows of any leading shape, each drawn, one-sided, sampled or empty.
+
+    Drawn rows are integer-valued and often hold zero-total points; sampled
+    rows are the blocks of one sweep, sampled or ideal, at a drawn pulse count.
+    """
+    lead = tuple(draw(st.lists(st.integers(0, 3), max_size=3)))
+    steps = draw(st.sampled_from(GRID_STEPS))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32)))  # drawing each count would make the test slow
+    kinds = [draw(st.sampled_from(ROW_KINDS)) for _ in range(math.prod(lead))]
+    if "sampled" in kinds:
+        mode = draw(st.sampled_from(("montecarlo", "montecarlo", "ideal")))
+        pulses, coherence = draw(st.sampled_from((20, 200, 4000, 120_000))), draw(st.sampled_from((0.0, 0.967, 1.0)))
+        phi_s, seed = draw(st.floats(0.0, math.pi)), draw(st.integers(0, 2**32))
+        _, sweep = _sweep_setting(phi_s, steps, pulses, coherence, seed, mode)
+    rows = []
+    for kind in kinds:
+        if kind == "sampled":
+            rows.append(sweep[draw(st.integers(0, len(BLOCKS) - 1))])
+        elif kind == "all_zero":
+            rows.append(np.zeros((2, steps)))
+        else:
+            counts = rng.integers(0, draw(st.sampled_from((1, 2, 5, 1000))) + 1, size=(2, steps)).astype(float)
+            if kind == "one_sided":
+                counts[draw(st.integers(0, 1))] = 0.0
+            rows.append(counts)
+    return np.array(rows).reshape(lead + (2, steps))
+
+
+class TestFlatnessMatchesReference:
+    @settings(max_examples=200, deadline=None, derandomize=True)  # the same examples on every run
+    @given(counts=flatness_stacks())
+    def test_every_row_and_error(self, counts):
+        assert_flatness_as_reference(counts)
+
+    def test_blocked_rows_of_a_low_count_sweep(self):
+        # the edge golden's sweep (4000 pulses, coherence 0, seed 3) drops points; counts[:, b] is a strided view
+        plan = RunPlan(phi_s_values=(0.0, math.pi / 4, math.pi / 2), pulses_per_point=4000, coherence=0.0, seed=3)
+        counts = run_sweep(plan)
+        assert (counts.sum(axis=-2) == 0).any()
+        for b in range(len(plan.blocks)):
+            assert_flatness_as_reference(counts[:, b])
+        assert_flatness_as_reference(counts)

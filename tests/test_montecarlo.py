@@ -19,7 +19,9 @@ from dualitysim import (
     cell_rng,
     click_probabilities,
     click_probs,
+    duality_report,
     effective_mean_photons,
+    flatness_check,
     multi_photon_fraction,
     raw_probs,
     run_dynamic_switch,
@@ -237,14 +239,12 @@ class TestRunSweep:
         assert abs(full - 1.0) <= 3 * full_sigma
 
     def test_sampled_blocked_scan_is_flat(self):
-        from dualitysim.estimators import FringeScan, flatness_check
-
         plan = RunPlan(
             phi_s_values=(math.pi / 2,), blocks=("path0",), coherence=1.0,
             pulses_per_point=100_000, seed=3,
         )
         [[blocked]] = run_sweep(plan, SRC, DET)
-        assert flatness_check(FringeScan(plan.phi_x_values(), *blocked)).flat
+        assert flatness_check(blocked)["flat"]
 
     def test_plan_validation(self):
         with pytest.raises(ContractViolation):
@@ -266,6 +266,16 @@ class TestRunSweep:
         for grid in ((1e20, 1.0000000000000002e20, 32), (-1e308, 1e308, 32)):
             with pytest.raises(ContractViolation, match="strictly increasing"):
                 RunPlan(phi_s_values=(0.1,), phi_x_grid=grid)
+
+    def test_pulse_cap_keeps_float64_counts_below_2_to_the_63(self):
+        # 2^63 - 513 is the largest count whose float64 stays below 2^63: one more rounds up to it
+        plan = RunPlan(phi_s_values=(math.pi / 2,), pulses_per_point=2**63 - 513)
+        counts = run_sweep(plan, mode="ideal")
+        assert counts.max() == 2.0**63 - 1024.0
+        duality_report(plan, counts)
+        for pulses in (2**63 - 512, 2**63 - 1):
+            with pytest.raises(ContractViolation, match=r"^pulses_per_point must lie in \[0, 2\^63 - 512\)$"):
+                replace(plan, pulses_per_point=pulses)
 
     def test_sweep_cell_cap(self):
         grid = (0.0, 2 * math.pi, MAX_PHI_X_STEPS)

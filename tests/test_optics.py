@@ -172,20 +172,10 @@ class TestArrayRoute:
 
 
 class TestBlocker:
-    def test_partial_transmissivity(self):
-        cfg = CircuitConfig(0.4, 0.9)
-        bs1, _, pm1, _ = standard_elements(cfg.phi_x, cfg.phi_s)
-        from dualitysim import PathState, apply_element
-
-        prepared = apply_element(pm1, apply_element(bs1, PathState.basis(2, 1)))
-        attenuated = apply_element(path_blocker(2, 1, transmissivity=0.25), prepared)
-        assert abs(attenuated.norm_sq - (0.5 + 0.25 * 0.5)) < 1e-12
-
     def test_validation(self):
-        with pytest.raises(ContractViolation):
-            path_blocker(2, 1, transmissivity=1.5)
-        with pytest.raises(ContractViolation):
-            path_blocker(2, 5)
+        for path in (-1, 2, 5):
+            with pytest.raises(ContractViolation, match=f"^path {path} outside 0..1$"):
+                path_blocker(path)
 
 
 class TestConfigValidation:
