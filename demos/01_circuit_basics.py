@@ -14,14 +14,14 @@ from dualitysim import matrix_probs, raw_probs, sagnac_effective, standard_eleme
 np.set_printoptions(precision=4, suppress=True)
 
 bs1, bs2, pm1, pm2 = standard_elements(phi_x=math.pi / 3, phi_s=math.pi / 5)
-print("input splitter BS1 =\n", bs1.matrix)
-print("loop splitter BS2 =\n", bs2.matrix)
-print("phase modulator PM1(pi/3) =\n", pm1.matrix)
+print("input splitter BS1 =\n", bs1)
+print("loop splitter BS2 =\n", bs2)
+print("phase modulator PM1(pi/3) =\n", pm1)
 
 print("\nSagnac recombiner T(phi_s) = BS2 . PM2 . BS2")
 for phi_s, label in ((0.0, "mirror"), (math.pi / 4, "intermediate"), (math.pi / 2, "balanced")):
     t = sagnac_effective(phi_s)
-    print(f"  phi_s = {phi_s:.3f} ({label}): |T| =\n", np.abs(t.matrix))
+    print(f"  phi_s = {phi_s:.3f} ({label}): |T| =\n", np.abs(t))
 
 phi_x = np.linspace(0.0, 2 * math.pi, 9)
 for gamma in (1.0, 0.967):

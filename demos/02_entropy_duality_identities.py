@@ -11,7 +11,6 @@ import numpy as np
 
 from dualitysim import (
     GuessingInput,
-    ProbDist,
     h_max,
     h_max_from_visibility,
     h_max_guessing_bound,
@@ -24,7 +23,7 @@ print("binary identities: entropy definitions vs duality closed forms")
 rng = np.random.default_rng(0)
 worst = 0.0
 for p in rng.uniform(0, 1, size=5000):
-    dist = ProbDist(np.array([p, 1 - p]))
+    dist = np.array([p, 1 - p])
     c = abs(2 * p - 1)
     worst = max(
         worst,

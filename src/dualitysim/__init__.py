@@ -51,14 +51,5 @@ from .optics import (
     sagnac_effective,
     standard_elements,
 )
-from .states import (
-    OpticalElement,
-    PathState,
-    ProbDist,
-    apply_element,
-    born_probabilities,
-    compose,
-    identity_element,
-)
 
 __version__ = "0.1.0"

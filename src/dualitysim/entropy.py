@@ -19,7 +19,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ContractViolation
-from .states import ProbDist
 from .tolerances import ATOL_ALGEBRAIC, ATOL_NORM, INEQ_SLACK
 
 
@@ -37,8 +36,8 @@ def h_max(dist):
 
 @np.errstate(invalid="ignore")  # a row holding +inf and -inf sums to NaN, which is rejected, not warned about
 def _normalized(dist, entropy: str) -> np.ndarray:
-    """The probabilities of a ProbDist, or of every row of an array, which must be nonnegative and normalized."""
-    p = dist.probs if isinstance(dist, ProbDist) else np.asarray(dist, dtype=np.float64)
+    """The probabilities of a distribution, or of every row of an array of them, which must be nonnegative and normalized."""
+    p = np.asarray(dist, dtype=np.float64)
     if not np.all((p >= 0) & (np.abs(p.sum(axis=-1, keepdims=True) - 1.0) <= ATOL_NORM)):
         raise ContractViolation(f"{entropy} requires a normalized distribution")
     return p

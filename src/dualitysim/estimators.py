@@ -55,7 +55,7 @@ def _check_counts(counts: np.ndarray) -> None:
 
     The message names that count's detector, its index on axis -2.
     """
-    # NaN fails both; no sweep counts 2^63 or more, and counts near 1e154 would overflow the sigmas' squares
+    # NaN fails both; no sweep counts more than 2^53, and counts near 1e154 would overflow the sigmas' squares
     bad = np.argwhere(~((counts >= 0) & (counts < 2.0**63)))
     if bad.size:
         raise ContractViolation(f"n{bad[0][-2] + 1} counts must be finite and nonnegative and below 2^63")

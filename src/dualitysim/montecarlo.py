@@ -158,9 +158,9 @@ class RunPlan:
         phi_x = self.phi_x_values()
         if not (np.isfinite(phi_x).all() and (np.diff(phi_x) > 0).all()):
             raise ContractViolation("phi_x grid must give finite, strictly increasing floats")
-        # the counts are float64 and must stay below 2^63, to which 2^63 - 512 and above round
-        if not 0 <= self.pulses_per_point < 2**63 - 512:
-            raise ContractViolation("pulses_per_point must lie in [0, 2^63 - 512)")
+        # the counts are float64, which hold every integer up to 2^53 exactly: fringes.csv prints them unrounded
+        if not 0 <= self.pulses_per_point <= 2**53:
+            raise ContractViolation("pulses_per_point must lie in [0, 2^53]")
         for b in self.blocks:
             if b not in BLOCKS:
                 raise ContractViolation(f"unknown block setting {b!r}")

@@ -32,7 +32,6 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import ContractViolation
-from .states import ATTENUATOR, UNITARY, OpticalElement, compose
 
 BLOCK_NONE = "none"
 BLOCK_PATH0 = "path0"
@@ -75,21 +74,28 @@ class CircuitConfig:
         _check_setting(self.phi_x, self.phi_s, self.block, self.coherence)
 
 
-def relative_phase(phi: float) -> OpticalElement:
+def _frozen(matrix) -> np.ndarray:
+    """A read-only complex copy, so the lru_cache'd matrices cannot be written through."""
+    m = np.array(matrix, dtype=np.complex128)
+    m.setflags(write=False)
+    return m
+
+
+def relative_phase(phi: float) -> np.ndarray:
     """diag(1, e^{i phi}) - a phase modulator on the second path."""
-    return OpticalElement(np.array([[1.0, 0.0], [0.0, np.exp(1j * phi)]]), UNITARY)
+    return _frozen([[1.0, 0.0], [0.0, np.exp(1j * phi)]])
 
 
 @lru_cache(maxsize=2)
 def _splitters():
     inv = 1.0 / math.sqrt(2.0)
-    bs1 = OpticalElement(inv * np.array([[1.0, 1j], [1j, 1.0]]), UNITARY)
-    bs2 = OpticalElement(inv * np.array([[1j, -1.0], [-1.0, 1j]]), UNITARY)
+    bs1 = _frozen(inv * np.array([[1.0, 1j], [1j, 1.0]]))
+    bs2 = _frozen(inv * np.array([[1j, -1.0], [-1.0, 1j]]))
     return bs1, bs2
 
 
 def standard_elements(phi_x: float, phi_s: float):
-    """The four circuit elements (input splitter, loop splitter, both modulators).
+    """The four circuit elements (input splitter, loop splitter, both modulators) as read-only 2x2 arrays.
 
     Returns (BS1, BS2, PM1, PM2) where BS1 = (1/sqrt2)[[1, i], [i, 1]],
     BS2 = (1/sqrt2)[[i, -1], [-1, i]], PM1 = diag(1, e^{i phi_x}) and
@@ -100,7 +106,7 @@ def standard_elements(phi_x: float, phi_s: float):
 
 
 @lru_cache(maxsize=4096)
-def sagnac_effective(phi_s: float) -> OpticalElement:
+def sagnac_effective(phi_s: float) -> np.ndarray:
     """Effective recombiner BS2 . PM2(phi_s) . BS2 of the Sagnac loop.
 
     The wave packets split at the loop splitter, the loop phase addresses one
@@ -109,17 +115,17 @@ def sagnac_effective(phi_s: float) -> OpticalElement:
     up to phase), phi_s = pi/2 a balanced splitter.
     """
     _, bs2, _, pm2 = standard_elements(0.0, phi_s)
-    return compose(bs2, compose(pm2, bs2))
+    return _frozen(bs2 @ (pm2 @ bs2))
 
 
 @lru_cache(maxsize=2)
-def path_blocker(path: int) -> OpticalElement:
-    """Ideal blocker of one of the two paths."""
+def path_blocker(path: int) -> np.ndarray:
+    """Ideal blocker of one of the two paths: the diagonal projector onto the other."""
     if not 0 <= path < 2:
         raise ContractViolation(f"path {path} outside 0..1")
     diag = np.ones(2, dtype=np.complex128)
     diag[path] = 0.0
-    return OpticalElement(np.diag(diag), ATTENUATOR)
+    return _frozen(np.diag(diag))
 
 
 def matrix_probs(phi_x, phi_s: float, block: str = BLOCK_NONE, coherence: float = 1.0) -> np.ndarray:
@@ -133,11 +139,11 @@ def matrix_probs(phi_x, phi_s: float, block: str = BLOCK_NONE, coherence: float 
     _check_setting(phi_x, phi_s, block, coherence)
     phi_x = np.asarray(phi_x, dtype=np.float64)
     modulator = np.stack((np.ones(phi_x.shape), np.exp(1j * phi_x)), axis=-1)  # the diagonal of PM1(phi_x)
-    amps = _splitters()[0].matrix[:, INPUT_PORT] * modulator
+    amps = _splitters()[0][:, INPUT_PORT] * modulator
     rho = amps[..., :, None] * amps[..., None, :].conj() * np.array([[1.0, coherence], [coherence, 1.0]])
-    out = sagnac_effective(phi_s).matrix
+    out = sagnac_effective(phi_s)
     if block != BLOCK_NONE:
-        out = out @ path_blocker(0 if block == BLOCK_PATH0 else 1).matrix
+        out = out @ path_blocker(0 if block == BLOCK_PATH0 else 1)
     ports = np.einsum("pk,...kl,pl->p...", out, rho, out.conj()).real
     return ports[[1, 0]]
 

@@ -29,7 +29,7 @@ from dualitysim import (
     wpdr_check,
 )
 from dualitysim.cli import DEFAULT_PHI_S, config_from_dict, load_config, run
-from dualitysim.entropy import GuessingInput, ProbDist, h_max, h_min
+from dualitysim.entropy import GuessingInput, h_max, h_min
 from dualitysim.montecarlo import cell_rng
 
 REPO = Path(__file__).resolve().parents[1]
@@ -51,7 +51,7 @@ def test_criterion_1_route_equivalence_identity():
 
     # spot-check the scalar definition path end to end as well
     for q in p[:200]:
-        dist = ProbDist(np.array([q, 1.0 - q]))
+        dist = np.array([q, 1.0 - q])
         c = abs(2.0 * q - 1.0)
         assert abs(h_min(dist) - h_min_from_distinguishability(c)) < 1e-12
         assert abs(h_max(dist) - h_max_from_visibility(c)) < 1e-12

@@ -412,6 +412,10 @@ UNUSABLE_INPUTS = {
     "pulses_rounding_to_2_to_the_63_ideal": (
         "eur-verify", {"mode": "ideal", "plan": {"phi_s_values": ["pi/2"], "pulses_per_point": 2**63 - 1}},
     ),
+    # 2^53 + 1 pulses, every gate a dark count: float64 counts round to 2^53.
+    "pulses_beyond_2_to_the_53": (
+        "sweep", {"plan": {"phi_x_grid": [0, "2pi", 8], "pulses_per_point": 2**53 + 1}, "detector": {"dark_prob": 1}},
+    ),
     "pulses_rounding_to_2_to_the_63_dark": (
         "sweep", {"plan": {"phi_x_grid": [0, "2pi", 8], "pulses_per_point": 2**63 - 1}, "detector": {"dark_prob": 1}},
     ),

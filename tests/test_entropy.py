@@ -6,7 +6,6 @@ import pytest
 from dualitysim import (
     ContractViolation,
     GuessingInput,
-    ProbDist,
     distinguishability_from_guessing,
     eur_check,
     h_max,
@@ -21,7 +20,7 @@ from dualitysim.entropy import duality_columns
 
 
 def dist(*probs):
-    return ProbDist(np.array(probs, dtype=float))
+    return np.array(probs, dtype=float)
 
 
 def pairs(p):
@@ -52,19 +51,18 @@ class TestUnconditionalEntropies:
         assert h_min(dist(0.5, 0.5, 0.0, 0.0)) == pytest.approx(1.0, abs=1e-12)
         assert h_max(dist(0.5, 0.5, 0.0)) == pytest.approx(1.0, abs=1e-12)
 
-    def test_unnormalized_rejected(self):
-        with pytest.raises(ContractViolation):
-            h_min(dist(0.3, 0.3))
-        with pytest.raises(ContractViolation):
-            h_max(dist(0.6, 0.6))
+    def test_unnormalized_or_negative_rejected(self):
+        for entropy in (h_min, h_max):
+            for bad in (dist(0.3, 0.3), dist(0.6, 0.6), dist(-0.1, 1.1)):
+                with pytest.raises(ContractViolation, match="requires a normalized distribution"):
+                    entropy(bad)
 
     def test_ordering_and_range(self):
         rng = np.random.default_rng(5)
         for _ in range(200):
             n = int(rng.integers(2, 7))
             p = rng.dirichlet(np.ones(n))
-            d = ProbDist(p)
-            lo, hi = h_min(d), h_max(d)
+            lo, hi = h_min(p), h_max(p)
             assert -1e-12 <= lo <= hi + 1e-12
             assert hi <= math.log2(n) + 1e-12
 
@@ -139,7 +137,7 @@ class TestBinaryIdentities:
         direct = np.log2(1.0 + np.sqrt((1.0 - c) * (1.0 + c)))
         assert np.max(np.abs(h_max(pairs(p)) - direct)) < 1e-12
 
-    def test_definition_matches_closed_form_through_probdist(self):
+    def test_definition_matches_closed_form_on_one_distribution(self):
         rng = np.random.default_rng(4)
         for _ in range(200):
             p = float(rng.uniform())

@@ -12,7 +12,6 @@ from dualitysim import (
     BLOCKS,
     ContractViolation,
     EstimationError,
-    ProbDist,
     RunPlan,
     duality_report,
     flatness_check,
@@ -480,7 +479,7 @@ def _ref_definition_route(scan_open, distinguishability, dropped_points=0):
     if scan_open.block != "none":
         raise ContractViolation("definition route needs an open scan first")
     d = distinguishability[0]
-    hz = h_min(ProbDist(np.array([(1.0 + d) / 2.0, (1.0 - d) / 2.0]), ("guess_hit", "guess_miss")))
+    hz = h_min(np.array([(1.0 + d) / 2.0, (1.0 - d) / 2.0]))
     i_max, i_min = _ref_extremal_indices(scan_open)
     t_max, t_min = float(scan_open.totals[i_max]), float(scan_open.totals[i_min])
     p_max = float(scan_open.n1[i_max]) / t_max
@@ -488,7 +487,7 @@ def _ref_definition_route(scan_open, distinguishability, dropped_points=0):
     s = p_max + p_min
     if s <= 0:
         raise EstimationError("zero detector-1 probability at both fringe extrema")
-    hw = h_max(ProbDist(np.array([p_max, p_min]) / s, ("fringe_max", "fringe_min")))
+    hw = h_max(np.array([p_max, p_min]) / s)
     contrast = (p_max - p_min) / s
     var_p = (p_max * (1.0 - p_max) / t_max, p_min * (1.0 - p_min) / t_min)
     var_c = _ref_ratio_variance(p_max, p_min, s, *var_p)

@@ -267,14 +267,13 @@ class TestRunSweep:
             with pytest.raises(ContractViolation, match="strictly increasing"):
                 RunPlan(phi_s_values=(0.1,), phi_x_grid=grid)
 
-    def test_pulse_cap_keeps_float64_counts_below_2_to_the_63(self):
-        # 2^63 - 513 is the largest count whose float64 stays below 2^63: one more rounds up to it
-        plan = RunPlan(phi_s_values=(math.pi / 2,), pulses_per_point=2**63 - 513)
-        counts = run_sweep(plan, mode="ideal")
-        assert counts.max() == 2.0**63 - 1024.0
-        duality_report(plan, counts)
-        for pulses in (2**63 - 512, 2**63 - 1):
-            with pytest.raises(ContractViolation, match=r"^pulses_per_point must lie in \[0, 2\^63 - 512\)$"):
+    def test_pulse_cap_keeps_float64_counts_exact(self):
+        # 2^53 is the largest count up to which float64 holds every integer: 2^53 + 1 rounds to 2^53
+        plan = RunPlan(phi_s_values=(math.pi / 2,), phi_x_grid=(0.0, 2 * math.pi, 8), pulses_per_point=2**53)
+        counts = run_sweep(plan, detector=DetectorConfig(dark_prob=1.0))  # every gate clicks
+        assert counts.max() == 2.0**53
+        for pulses in (2**53 + 1, 2**63 - 1):
+            with pytest.raises(ContractViolation, match=r"^pulses_per_point must lie in \[0, 2\^53\]$"):
                 replace(plan, pulses_per_point=pulses)
 
     def test_sweep_cell_cap(self):

@@ -25,39 +25,51 @@ ROUTES = {"raw_probs": raw_probs, "matrix_probs": matrix_probs}
 class TestStandardElements:
     def test_matrices_as_printed(self):
         bs1, bs2, pm1, pm2 = standard_elements(0.3, 0.7)
-        np.testing.assert_allclose(bs1.matrix, INV_SQRT2 * np.array([[1, 1j], [1j, 1]]), atol=1e-15)
-        np.testing.assert_allclose(bs2.matrix, INV_SQRT2 * np.array([[1j, -1], [-1, 1j]]), atol=1e-15)
-        np.testing.assert_allclose(pm1.matrix, np.diag([1, np.exp(0.3j)]), atol=1e-15)
-        np.testing.assert_allclose(pm2.matrix, np.diag([1, np.exp(0.7j)]), atol=1e-15)
+        np.testing.assert_allclose(bs1, INV_SQRT2 * np.array([[1, 1j], [1j, 1]]), atol=1e-15)
+        np.testing.assert_allclose(bs2, INV_SQRT2 * np.array([[1j, -1], [-1, 1j]]), atol=1e-15)
+        np.testing.assert_allclose(pm1, np.diag([1, np.exp(0.3j)]), atol=1e-15)
+        np.testing.assert_allclose(pm2, np.diag([1, np.exp(0.7j)]), atol=1e-15)
 
     def test_zero_phase_modulator_is_identity(self):
         _, _, pm1, _ = standard_elements(0.0, 0.0)
-        np.testing.assert_allclose(pm1.matrix, np.eye(2), atol=1e-15)
-
-    def test_input_splitter_columns_orthonormal(self):
-        bs1, _, _, _ = standard_elements(0.0, 0.0)
-        gram = bs1.matrix.conj().T @ bs1.matrix
-        np.testing.assert_allclose(gram, np.eye(2), atol=1e-12)
+        np.testing.assert_allclose(pm1, np.eye(2), atol=1e-15)
 
     def test_pi_loop_phase(self):
         _, _, _, pm2 = standard_elements(0.0, math.pi)
-        np.testing.assert_allclose(pm2.matrix, np.diag([1.0, -1.0]), atol=1e-12)
+        np.testing.assert_allclose(pm2, np.diag([1.0, -1.0]), atol=1e-12)
 
 
 class TestSagnacEffective:
     def test_mirror_mode(self):
-        t = sagnac_effective(0.0).matrix
+        t = sagnac_effective(0.0)
         assert abs(abs(t[0, 1]) - 1.0) < 1e-12
         assert abs(t[0, 0]) < 1e-12
 
     def test_balanced_mode(self):
-        t = sagnac_effective(math.pi / 2).matrix
+        t = sagnac_effective(math.pi / 2)
         np.testing.assert_allclose(np.abs(t), INV_SQRT2 * np.ones((2, 2)), atol=1e-12)
 
-    def test_unitary_for_any_phase(self):
-        for phi_s in np.linspace(0, 2 * math.pi, 17):
-            t = sagnac_effective(float(phi_s)).matrix
-            np.testing.assert_allclose(t.conj().T @ t, np.eye(2), atol=1e-12)
+
+def _element_matrices():
+    """Every element matrix the circuit uses, with the path it blocks (None for the unitary elements)."""
+    for phi in (0.0, 0.3, math.pi / 2, 2.9, -1.7):
+        for name, m in zip(("BS1", "BS2", "PM1", "PM2"), standard_elements(phi, phi)):
+            yield pytest.param(m, None, id=f"{name}-{phi:.3f}")
+    for phi_s in np.linspace(0, 2 * math.pi, 17):
+        yield pytest.param(sagnac_effective(float(phi_s)), None, id=f"sagnac-{phi_s:.3f}")
+    for path in (0, 1):
+        yield pytest.param(path_blocker(path), path, id=f"blocker-{path}")
+
+
+@pytest.mark.parametrize("m,blocked", _element_matrices())
+def test_element_matrix_is_read_only_unitary_or_projector(m, blocked):
+    assert m.dtype == np.complex128 and m.shape == (2, 2)
+    if blocked is None:
+        np.testing.assert_allclose(m.conj().T @ m, np.eye(2), rtol=0.0, atol=1e-12)
+    else:  # diagonal, one on the open path and zero on the blocked one
+        np.testing.assert_array_equal(m, np.diag([float(i != blocked) for i in range(2)]))
+    with pytest.raises(ValueError, match="read-only"):  # the lru_cache'd matrices cannot be written through
+        m[1, 1] = 0.5
 
 
 class TestClosedForms:
