@@ -44,7 +44,6 @@ from .optics import (
     BLOCKS,
     CircuitConfig,
     matrix_probs,
-    open_p1,
     path_blocker,
     raw_detection_probs,
     raw_probs,

@@ -63,21 +63,20 @@ def h_max_from_visibility(v):
     return float(out) if out.ndim == 0 else out
 
 
-def eur_check(h_min_z, h_max_w, n: int = 2):
-    """Entropic uncertainty bound: returns (sum, sum >= log2(n) - INEQ_SLACK); vectorized.
+def eur_check(h_min_z, h_max_w):
+    """Two-path entropic uncertainty bound: returns (sum, sum >= 1 - INEQ_SLACK); vectorized.
 
     The sum of ignorance about the path variable and the optimal fringe
-    variable is at least log2(n) bits for any physical n-path input; a False
-    flag on physically generated numbers signals a bug upstream.
+    variable, each in [0, 1] bit, is at least 1 bit for any physical two-path
+    input; a False flag on physically generated numbers signals a bug upstream.
     """
-    bound = math.log2(n)
     for name, h in (("h_min_z", h_min_z), ("h_max_w", h_max_w)):
         h = np.asarray(h, dtype=np.float64)
-        inside = (h >= -ATOL_ALGEBRAIC) & (h <= bound + INEQ_SLACK)
+        inside = (h >= -ATOL_ALGEBRAIC) & (h <= 1.0 + INEQ_SLACK)
         if not np.all(inside):
-            raise ContractViolation(f"{name} = {h[~inside].flat[0]} outside [0, log2 n]")
+            raise ContractViolation(f"{name} = {h[~inside].flat[0]} outside [0, 1]")
     total = h_min_z + h_max_w
-    ok = total >= bound - INEQ_SLACK
+    ok = total >= 1.0 - INEQ_SLACK
     return total, ok if np.ndim(ok) else bool(ok)
 
 

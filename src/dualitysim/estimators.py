@@ -37,7 +37,7 @@ import math
 
 import numpy as np
 
-from .entropy import duality_columns, eur_check, h_max, h_min
+from .entropy import duality_columns, eur_check, h_max, h_min, wpdr_check
 from .errors import ContractViolation, EstimationError
 from .optics import BLOCK_PATH0, BLOCK_PATH1, BLOCKS
 
@@ -208,9 +208,9 @@ def _definition_route(p_max, p_min, t_max, t_min, d, sigma_d) -> dict:
     hw = h_max(np.stack([p_max, p_min], axis=-1) / s[:, None])
     contrast = (p_max - p_min) / s
     var_c = _ratio_variance(p_max, p_min, s, p_max * (1.0 - p_max) / t_max, p_min * (1.0 - p_min) / t_min)
-    # definition-route entropies replace the closed-form ones in the scorecard
-    eur_sum, eur_ok = eur_check(hz, hw)
-    quantities = dict(duality_columns(contrast, d), h_min_z=hz, h_max_w=hw, eur_sum=eur_sum, eur_satisfied=eur_ok)
+    (eur_sum, eur_ok), (wpdr_value, wpdr_ok) = eur_check(hz, hw), wpdr_check(d, contrast)
+    quantities = dict(v=contrast, d=d, h_min_z=hz, h_max_w=hw, eur_sum=eur_sum, wpdr_value=wpdr_value,
+                      eur_satisfied=eur_ok, wpdr_satisfied=wpdr_ok)  # duality_columns' names, in its order
     unclamped = np.zeros(contrast.shape, dtype=bool)
     return dict(_route(quantities, contrast, np.sqrt(var_c), d, sigma_d), clamped_v=unclamped, clamped_d=unclamped)
 

@@ -9,8 +9,8 @@ probability per pulse is
 
 with ``p_j_raw`` the unconditional optics probability (half amplitude when a
 path is blocked).  Counts over a point are binomial in the pulse number.
-:func:`click_probs` is this model on arrays; the sweep and the switch
-scenario both call it.  The time-multiplexed single-detector readout of the
+:func:`click_probs` is this model on arrays, and :func:`~dualitysim.optics.raw_probs`
+gives its ``p_j_raw``; the sweep and the switch scenario both call them.  The time-multiplexed single-detector readout of the
 experiment (D1 in the early gate, D2 in the late one) is a pure relabeling
 with afterpulsing off, so it is not modeled.
 
@@ -30,7 +30,7 @@ calling thread and the D2 half on a second thread, so the draws and the bytes
 are those of reading the stream in order.  Both runs return bare counts
 that their plan describes, and the input rules live in the plans:
 :class:`RunPlan` for a sweep, :class:`SwitchPlan` (its caps, whole bins of
-whole pulses, segment rule and bin axes) for a switch run.
+whole pulses, its phase rule and bin axes) for a switch run.
 """
 from __future__ import annotations
 
@@ -41,7 +41,7 @@ from dataclasses import astuple, dataclass
 import numpy as np
 
 from .errors import ContractViolation
-from .optics import BLOCKS, CircuitConfig, check_coherence, open_p1, raw_detection_probs, raw_probs
+from .optics import BLOCKS, CircuitConfig, check_coherence, raw_detection_probs, raw_probs
 
 IDEAL_MODE = "ideal"
 MONTECARLO_MODE = "montecarlo"
@@ -183,12 +183,6 @@ class RunPlan:
         return DEFAULT_COHERENCE_IDEAL if mode == IDEAL_MODE else DEFAULT_COHERENCE_MC
 
 
-def triangle_wave(t: np.ndarray, period: float) -> np.ndarray:
-    """Symmetric triangle 0 -> 2 pi -> 0 over one period: the phi_x modulator's full range."""
-    frac = np.mod(t / period, 1.0)
-    return 2.0 * math.pi * (1.0 - np.abs(2.0 * frac - 1.0))
-
-
 def is_whole(x: float) -> bool:
     """Whether x is a whole number of at least 1, to a relative tolerance of 1e-9."""
     return math.isfinite(x) and round(x) >= 1 and abs(x - round(x)) <= 1e-9 * x
@@ -230,14 +224,20 @@ class SwitchPlan:
         """The run's bin count, which the plan's checks make a whole number of at least 1."""
         return round(self.duration_s / self.bin_seconds)
 
-    def wave_segments(self, t: np.ndarray) -> np.ndarray:
-        """Whether each time ``t`` (s) lies in a wave segment, phi_s = pi/2; the run starts with phi_s = 0."""
-        return np.floor(t / self.toggle_period_s).astype(np.int64) % 2 == 1
+    def phases(self, t: np.ndarray) -> tuple:
+        """(phi_s, phi_x) at each time ``t`` (s): the one phase rule, of the sampler and of :meth:`bin_axes`.
+
+        phi_s toggles between 0 and pi/2 (a wave segment) every toggle period, starting at 0, and phi_x
+        sweeps the modulator's full range as a symmetric triangle 0 -> 2 pi -> 0 over each triangle period.
+        """
+        wave = np.floor(t / self.toggle_period_s).astype(np.int64) % 2 == 1
+        frac = np.mod(t / self.triangle_period_s, 1.0)
+        return np.where(wave, math.pi / 2.0, 0.0), 2.0 * math.pi * (1.0 - np.abs(2.0 * frac - 1.0))
 
     def bin_axes(self) -> tuple:
         """(t, phi_s, phi_x) at the centre of each bin of the run: the labels of its (detector, bin) counts."""
         t = (np.arange(self._bins()) + 0.5) * self.bin_seconds
-        return t, np.where(self.wave_segments(t), math.pi / 2.0, 0.0), triangle_wave(t, self.triangle_period_s)
+        return (t, *self.phases(t))
 
 
 def effective_mean_photons(source: SourceConfig, detector: DetectorConfig) -> float:
@@ -442,8 +442,8 @@ def run_dynamic_switch(plan: SwitchPlan, source: SourceConfig, detector: Detecto
 
     phi_x sweeps a continuous triangle while phi_s toggles between 0
     (particle segments: flat, balanced rates) and pi/2 (wave segments:
-    full-contrast fringes); :meth:`SwitchPlan.bin_axes` gives each bin's time
-    and phases.  The run is the bins of whole pulses that
+    full-contrast fringes), as :meth:`SwitchPlan.phases` gives them at any
+    time.  The run is the bins of whole pulses that
     :meth:`SwitchPlan.pulses` gives, drawn from the stream seeded by ``seed``
     (in [0, 2^64)) at ``coherence`` (in [0, 1]).  Each chunk of
     SWITCH_CHUNK_PULSES pulses reads one uniform per pulse for D1, then one
@@ -488,10 +488,8 @@ def run_dynamic_switch(plan: SwitchPlan, source: SourceConfig, detector: Detecto
         d2.bit_generator.advance(min(SWITCH_CHUNK_PULSES, n_pulses - start - size))  # past the next chunk's D1 half
         cand = np.concatenate((cand_d1, cand_d2 + size))
         det, idx = np.divmod(cand, size)
-        t = (idx + start + 0.5) / source.rep_rate
-        phi_x = triangle_wave(t, plan.triangle_period_s)
-        sin_s = np.where(plan.wave_segments(t), 1.0, 0.0)  # sin(phi_s) for phi_s in {0, pi/2}
-        p1 = open_p1(np.sin(phi_x), sin_s, coherence)
-        hit = u[cand] < click_probs(np.where(det == 0, p1, 1.0 - p1), source, detector)
+        phi_s, phi_x = plan.phases((idx + start + 0.5) / source.rep_rate)
+        p = np.choose(det, raw_probs(phi_x, phi_s, coherence=coherence))  # each candidate's own detector
+        hit = u[cand] < click_probs(p, source, detector)
         counts += np.bincount(det[hit] * n_bins + (idx[hit] + start) // pulses_per_bin, minlength=2 * n_bins)
     return counts.reshape(2, n_bins).astype(np.float64)

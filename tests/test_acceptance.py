@@ -90,15 +90,16 @@ def test_criterion_2_ideal_saturation():
 def test_criterion_3_matrix_vs_closed_form():
     """Matrix-product probabilities match the closed forms at any coherence.
 
-    Over a 32x32 grid, every block setting and coherence 1, 0.967 (the
-    device's), 0.5 and 0, and on 2,000 seeded random settings.
+    Over a 32x32 (phi_s, phi_x) grid, one plane per call, for every block
+    setting and coherence 1, 0.967 (the device's), 0.5 and 0, and on 2,000
+    seeded random settings.
     """
     t0 = time.time()
     grid = np.linspace(0.0, 2.0 * math.pi, 32, endpoint=False)
     worst = 0.0
-    for coherence, phi_s, block in itertools.product((1.0, 0.967, 0.5, 0.0), grid, BLOCKS):
-        got = matrix_probs(grid, float(phi_s), block, coherence)
-        worst = max(worst, np.abs(got - raw_probs(grid, float(phi_s), block, coherence)).max())
+    for coherence, block in itertools.product((1.0, 0.967, 0.5, 0.0), BLOCKS):
+        got = matrix_probs(grid, grid[:, None], block, coherence)
+        worst = max(worst, np.abs(got - raw_probs(grid, grid[:, None], block, coherence)).max())
     rng = np.random.default_rng(20240103)
     draws = zip(rng.uniform(-10.0, 10.0, (2000, 2)).tolist(), rng.integers(0, 3, 2000), rng.uniform(0.0, 1.0, 2000))
     for (phi_x, phi_s), b, coherence in draws:

@@ -152,21 +152,21 @@ class TestBinaryIdentities:
 
 class TestInequalityChecks:
     def test_eur_boundary(self):
-        assert eur_check(1.0, 0.0, n=2) == (1.0, True)
+        assert eur_check(1.0, 0.0) == (1.0, True)
 
     def test_eur_saturated_pair(self):
         hz = h_min_from_distinguishability(math.cos(math.pi / 4))
         hw = h_max_from_visibility(math.sin(math.pi / 4))
-        total, ok = eur_check(hz, hw, n=2)
+        total, ok = eur_check(hz, hw)
         assert ok and abs(total - 1.0) < 1e-12
 
     def test_eur_violation_flagged(self):
-        total, ok = eur_check(0.3, 0.3, n=2)
+        total, ok = eur_check(0.3, 0.3)
         assert (total, ok) == (pytest.approx(0.6), False)
 
     def test_eur_range_validation(self):
         with pytest.raises(ContractViolation):
-            eur_check(1.5, 0.0, n=2)
+            eur_check(1.5, 0.0)
 
     def test_wpdr_trig_identity(self):
         for phi_s in np.linspace(0, math.pi / 2, 50):

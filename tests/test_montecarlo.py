@@ -35,9 +35,8 @@ from dualitysim.montecarlo import (
     IDEAL_MODE,
     MAX_PHI_X_STEPS,
     MAX_SWEEP_CELLS,
-    triangle_wave,
 )
-from dualitysim.optics import BLOCKS, open_p1
+from dualitysim.optics import BLOCKS
 
 SRC = SourceConfig()
 DET = DetectorConfig()
@@ -159,9 +158,10 @@ class TestRunSweep:
         counts = run_sweep(plan, SRC, DET)
         assert counts.dtype == np.float64 and counts.shape == (2, 2, 2, 32)
         ideal = run_sweep(plan, SRC, DET, mode=IDEAL_MODE)
-        for (s, phi_s), (b, block) in itertools.product(enumerate(plan.phi_s_values), enumerate(plan.blocks)):
+        phi_s = np.array(plan.phi_s_values)[:, None]
+        for b, block in enumerate(plan.blocks):  # the sweep's rows, bit for bit one (phi_s, phi_x) plane per block
             want = plan.pulses_per_point * raw_probs(plan.phi_x_values(), phi_s, block, 1.0)
-            assert ideal[s, b].tobytes() == want.tobytes()
+            assert ideal[:, b].tobytes() == np.moveaxis(want, 0, 1).tobytes()
 
     def test_deterministic_across_runs(self):
         plan = RunPlan(phi_s_values=(0.0, 0.9, math.pi / 2), seed=77, pulses_per_point=50_000)
@@ -318,9 +318,10 @@ def per_pulse_switch(plan, source, detector, seed, coherence):
     for start in range(0, n_pulses, montecarlo.SWITCH_CHUNK_PULSES):
         idx = np.arange(start, min(start + montecarlo.SWITCH_CHUNK_PULSES, n_pulses))
         t = (idx + 0.5) / source.rep_rate
-        phi_x = triangle_wave(t, plan.triangle_period_s)
+        phi_x = 2.0 * math.pi * (1.0 - np.abs(2.0 * np.mod(t / plan.triangle_period_s, 1.0) - 1.0))  # the triangle
         wave_segment = (np.floor(t / plan.toggle_period_s).astype(np.int64) % 2) == 1
-        p1 = open_p1(np.sin(phi_x), np.where(wave_segment, 1.0, 0.0), coherence)
+        sin_s = np.where(wave_segment, 1.0, 0.0)  # sin(phi_s) for phi_s in {0, pi/2}
+        p1 = 0.5 * (1.0 + coherence * np.sin(phi_x) * sin_s)
         c1 = click_probs(p1, source, detector)
         c2 = click_probs(1.0 - p1, source, detector)
         click1 = rng.random(idx.size) < c1
@@ -389,7 +390,7 @@ class TestDynamicSwitch:
     def test_triangle_wave_shape(self):
         t = np.array([0.0, 1.5, 3.0, 4.5, 6.0])
         np.testing.assert_allclose(
-            triangle_wave(t, 6.0), [0.0, math.pi, 2 * math.pi, math.pi, 0.0], atol=1e-12
+            REFERENCE_SWITCH.phases(t)[1], [0.0, math.pi, 2 * math.pi, math.pi, 0.0], atol=1e-12
         )
 
     def test_alternating_segments(self):
@@ -400,7 +401,12 @@ class TestDynamicSwitch:
         for seg in range(4):
             expect = 0.0 if seg % 2 == 0 else math.pi / 2
             assert np.all(phi_s[segments == seg] == expect)
-            assert np.array_equal(REFERENCE_SWITCH.wave_segments(t[segments == seg]), np.full(30, seg % 2 == 1))
+            seg_phi_s, seg_phi_x = REFERENCE_SWITCH.phases(t[segments == seg])  # the rule bin_axes applies
+            assert np.all(seg_phi_s == expect) and np.array_equal(seg_phi_x, phi_x[segments == seg])
+        # any time, not only bin centres: phi_s turns to pi/2 at 18 s and back to 0 at 36 s
+        edges_s, edges_x = REFERENCE_SWITCH.phases(np.array([0.0, 17.99, 18.0, 35.99, 36.0, 54.0]))
+        assert np.array_equal(edges_s, [0.0, 0.0, math.pi / 2, math.pi / 2, 0.0, math.pi / 2])
+        np.testing.assert_allclose(edges_x[[0, 2, 4, 5]], 0.0, atol=1e-12)  # 18 s is three triangle periods
 
     def test_particle_segments_flat_wave_segments_fringe(self):
         n1, n2 = run_dynamic_switch(REFERENCE_SWITCH, SRC, DET, seed=2, coherence=1.0)

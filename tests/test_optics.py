@@ -49,6 +49,14 @@ class TestSagnacEffective:
         t = sagnac_effective(math.pi / 2)
         np.testing.assert_allclose(np.abs(t), INV_SQRT2 * np.ones((2, 2)), atol=1e-12)
 
+    def test_phase_arrays_give_stacks_of_matrices(self):
+        phi = np.linspace(-3.0, 3.0, 12).reshape(3, 4)
+        stacks = (sagnac_effective(phi), *standard_elements(phi, phi)[2:])
+        for stack, one in zip(stacks, (sagnac_effective, lambda p: standard_elements(p, p)[2])):
+            assert stack.shape == (3, 4, 2, 2) and not stack.flags.writeable
+            for i, j in np.ndindex(3, 4):
+                np.testing.assert_allclose(stack[i, j], one(float(phi[i, j])), rtol=0.0, atol=1e-15)
+
 
 def _element_matrices():
     """Every element matrix the circuit uses, with the path it blocks (None for the unitary elements)."""
@@ -68,7 +76,7 @@ def test_element_matrix_is_read_only_unitary_or_projector(m, blocked):
         np.testing.assert_allclose(m.conj().T @ m, np.eye(2), rtol=0.0, atol=1e-12)
     else:  # diagonal, one on the open path and zero on the blocked one
         np.testing.assert_array_equal(m, np.diag([float(i != blocked) for i in range(2)]))
-    with pytest.raises(ValueError, match="read-only"):  # the lru_cache'd matrices cannot be written through
+    with pytest.raises(ValueError, match="read-only"):  # no caller can write into a shared element matrix
         m[1, 1] = 0.5
 
 
@@ -132,13 +140,13 @@ class TestMatrixRoute:
             assert np.abs(got - want).max() < 1e-12
 
     def test_agrees_with_closed_forms_on_grid(self):
-        # compact grid here; the acceptance suite runs the full 32x32 version
+        # compact grid here, one (phi_s, phi_x) plane per call; the acceptance suite runs the full 32x32 version
         grid = np.linspace(0, 2 * math.pi, 8, endpoint=False)
-        for phi_s in grid:
-            for block in BLOCKS:
-                for gamma in (1.0, 0.967):
-                    got = matrix_probs(grid, float(phi_s), block, gamma)
-                    assert np.abs(got - raw_probs(grid, float(phi_s), block, gamma)).max() < 1e-12
+        for block in BLOCKS:
+            for gamma in (1.0, 0.967):
+                got, want = (route(grid, grid[:, None], block, gamma) for route in (matrix_probs, raw_probs))
+                assert got.shape == want.shape == (2, 8, 8)
+                assert np.abs(got - want).max() < 1e-12
 
     def test_blocked_independent_of_phi_x(self):
         for block in (BLOCK_PATH0, BLOCK_PATH1):
@@ -148,6 +156,23 @@ class TestMatrixRoute:
 
 
 class TestArrayRoute:
+    @pytest.mark.parametrize("coherence", [1.0, 0.967, 0.0])
+    @pytest.mark.parametrize("block", BLOCKS)
+    def test_plane_equals_per_phi_s_rows_bitwise(self, block, coherence):
+        phi_x = np.linspace(0, 2 * math.pi, 32, endpoint=False)
+        phi_s = np.concatenate((np.linspace(0, math.pi / 2, 9), np.random.default_rng(5).uniform(-10, 10, 23)))
+        plane = raw_probs(phi_x, phi_s[:, None], block, coherence)
+        assert plane.shape == (2, 32, 32)
+        for i, one in enumerate(phi_s):
+            assert plane[:, i].tobytes() == raw_probs(phi_x, float(one), block, coherence).tobytes()
+
+    @pytest.mark.parametrize("route", sorted(ROUTES))
+    def test_shapes_that_do_not_broadcast_rejected(self, route):
+        for x_shape, s_shape in (((3,), (4,)), ((2, 3), (3, 1)), ((5,), (4, 2))):
+            for block in BLOCKS:
+                with pytest.raises(ContractViolation, match="do not broadcast"):
+                    ROUTES[route](np.zeros(x_shape), np.zeros(s_shape), block)
+
     def test_rows_agree_with_matrix_route(self):
         for phi_x in (0.3, np.linspace(0, 2 * math.pi, 16, endpoint=False), np.zeros((4, 3))):
             for phi_s in (0.0, 0.7, math.pi / 2):
@@ -170,9 +195,13 @@ class TestArrayRoute:
     @pytest.mark.parametrize("block", BLOCKS)
     @pytest.mark.parametrize("route", sorted(ROUTES))
     def test_nonfinite_phi_s_rejected(self, route, block):
-        for phi_s in (math.inf, -math.inf, math.nan):
-            with pytest.raises(ContractViolation, match="phases must be finite"):
-                ROUTES[route](0.0, phi_s, block)
+        for bad in (math.inf, -math.inf, math.nan):
+            arrays = [np.array([0.0, 0.7, 1.2])[:, None] for _ in range(3)]
+            for pos, phi_s in enumerate(arrays):
+                phi_s[pos] = bad
+            for phi_s in (bad, *arrays):
+                with pytest.raises(ContractViolation, match="phases must be finite"):
+                    ROUTES[route](np.zeros(4), phi_s, block)
 
     @pytest.mark.parametrize("block", BLOCKS)
     @pytest.mark.parametrize("route", sorted(ROUTES))

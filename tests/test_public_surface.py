@@ -15,7 +15,7 @@ PUBLIC_NAMES = [
     "click_probabilities", "click_probs", "distinguishability_from_guessing", "duality_report",
     "effective_mean_photons", "entropy", "errors", "estimators", "eur_check", "flatness_check", "h_max",
     "h_max_from_visibility", "h_max_guessing_bound", "h_min", "h_min_from_distinguishability", "matrix_probs",
-    "montecarlo", "multi_photon_fraction", "open_p1", "optics", "path_blocker", "raw_detection_probs", "raw_probs",
+    "montecarlo", "multi_photon_fraction", "optics", "path_blocker", "raw_detection_probs", "raw_probs",
     "run_dynamic_switch", "run_sweep", "sagnac_effective", "sample_photon_numbers", "simulate_point",
     "standard_elements", "tolerances", "visibility_from_guessing", "wpdr_check",
 ]
