@@ -131,45 +131,26 @@ def _section(raw: dict, name: str) -> dict:
 
 
 def config_from_dict(raw: dict) -> ExperimentConfig:
+    """The config a JSON object describes; each level is built, and its fields checked, by its dataclass."""
     if not isinstance(raw, dict):
         raise ConfigError("top level: expected a JSON object")
-    known = {"scenario", "mode", "output_dir", "plan", "source", "detector", "switch"}
-    unknown = set(raw) - known
-    if unknown:
-        raise ConfigError(f"unknown top-level fields: {sorted(unknown)}")
-
-    plan_raw = _section(raw, "plan")
-    phi_s = plan_raw.pop("phi_s_values", DEFAULT_PHI_S)
-    if not isinstance(phi_s, (list, tuple)):
+    plan = {"phi_s_values": DEFAULT_PHI_S, "seed": DEFAULT_SEED, **_section(raw, "plan")}
+    if not isinstance(plan["phi_s_values"], (list, tuple)):
         raise ConfigError("plan.phi_s_values: expected a list of angles")
-    plan_kwargs = {
-        "phi_s_values": tuple(parse_angle(v) for v in phi_s),
-        "seed": plan_raw.pop("seed", DEFAULT_SEED),
-    }
-    if "phi_x_grid" in plan_raw:
-        grid = plan_raw.pop("phi_x_grid")
+    plan["phi_s_values"] = tuple(parse_angle(v) for v in plan["phi_s_values"])
+    if "phi_x_grid" in plan:
+        grid = plan["phi_x_grid"]
         if not (isinstance(grid, (list, tuple)) and len(grid) == 3):
             raise ConfigError("plan.phi_x_grid: expected [start, stop, steps]")
-        plan_kwargs["phi_x_grid"] = (parse_angle(grid[0]), parse_angle(grid[1]), grid[2])
-    for key in ("blocks", "pulses_per_point", "coherence"):
-        if key in plan_raw:
-            plan_kwargs[key] = plan_raw.pop(key)
-    if plan_raw:
-        raise ConfigError(f"plan: unknown fields {sorted(plan_raw)}")
-
-    return _build(
-        "config",
-        ExperimentConfig,
-        {
-            "scenario": raw.get("scenario", "sweep"),
-            "mode": raw.get("mode", MONTECARLO_MODE),
-            "output_dir": raw.get("output_dir", "out"),
-            "plan": _build("plan", RunPlan, plan_kwargs),
-            "source": _build("source", SourceConfig, _section(raw, "source")),
-            "detector": _build("detector", DetectorConfig, _section(raw, "detector")),
-            "switch": _build("switch", SwitchPlan, _section(raw, "switch")),
-        },
-    )
+        plan["phi_x_grid"] = (parse_angle(grid[0]), parse_angle(grid[1]), grid[2])
+    return _build("config", ExperimentConfig, {
+        "scenario": "sweep",
+        **raw,
+        "plan": _build("plan", RunPlan, plan),
+        "source": _build("source", SourceConfig, _section(raw, "source")),
+        "detector": _build("detector", DetectorConfig, _section(raw, "detector")),
+        "switch": _build("switch", SwitchPlan, _section(raw, "switch")),
+    })
 
 
 def _read_config(path):
@@ -216,7 +197,7 @@ def _write_csv(path: Path, header: str, blocks) -> None:
 
 
 def _write_json(path: Path, obj) -> None:
-    path.write_text(json.dumps(obj, indent=2, sort_keys=True) + "\n", newline="\n")
+    path.write_text(json.dumps(obj, sort_keys=True) + "\n", newline="\n")
 
 
 def _fringe_blocks(plan: RunPlan, counts: np.ndarray):

@@ -18,10 +18,11 @@ Determinism contract: every grid cell draws from its own substream, first
 the D1 count and then the D2 count.  The substream is exactly numpy's
 ``PCG64(SeedSequence(seed, spawn_key=(block index, phi_s index, phi_x
 index)))``, so identical plans produce bit-identical counts in any
-evaluation order.  The sweep does not build those objects per cell: it
-computes SeedSequence's uint32 hash-mix for every cell of the plan in one
-array pass, seeds PCG64's LCG from the result, and sets one reused
-Generator to each cell's state in turn.  Reusing the Generator is safe
+evaluation order.  The sweep does not build those objects per cell:
+numpy's ``SeedSequence(seed)`` mixes the seed into its pool once, the sweep
+mixes every cell's spawn key into that pool with SeedSequence's uint32
+hash-mix in one array pass, seeds PCG64's LCG from the result, and sets one
+reused Generator to each cell's state in turn.  Reusing the Generator is safe
 because the only state its binomial sampler keeps between draws is a setup
 cache keyed on (n, p).  The switch scenario reads one stream, chunk by
 chunk: every D1 uniform of a chunk, then every D2 uniform of it.  Two
@@ -302,19 +303,13 @@ def _substream_words(seed: int, block_index, phi_s_index, phi_x_index) -> np.nda
 
     The indices broadcast against each other and must lie in [0, 2^32); the
     result has their broadcast shape plus a last axis of four uint64 words.
-    The seed's pool is mixed once with ints, the three spawn-key words as
-    uint32 arrays.
+    numpy mixes the seed's pool, which a spawn key leaves as it is (both pad
+    the seed with zero words); the three spawn-key words are mixed into it
+    here as uint32 arrays.
     """
     _check_seed(seed)
-    seed = int(seed)
-    # A seed below 2^64 is at most two 32-bit words, zero-padded to the pool size.
-    pool = [_hash(seed >> 32 * i & _U32, _MIX_HASH, i) for i in range(_POOL_SIZE)]
-    k = _POOL_SIZE
-    for src in range(_POOL_SIZE):
-        for dst in range(_POOL_SIZE):
-            if src != dst:
-                pool[dst] = _mix(pool[dst], _hash(pool[src], _MIX_HASH, k))
-                k += 1
+    pool = np.random.SeedSequence(int(seed)).pool.tolist()
+    k = _POOL_SIZE**2  # hash calls numpy made: pool init and cross-mix
     for word in (block_index, phi_s_index, phi_x_index):
         word = np.array(word, dtype=np.uint32, ndmin=1)
         for dst in range(_POOL_SIZE):

@@ -72,7 +72,7 @@ def _check_setting(phi_x, phi_s, block: str, coherence) -> tuple:
 
 @dataclass(frozen=True)
 class CircuitConfig:
-    """One interferometer setting: phases, block state, contrast factor."""
+    """One interferometer setting: scalar phases, block state, contrast factor."""
 
     phi_x: float
     phi_s: float
@@ -80,7 +80,8 @@ class CircuitConfig:
     coherence: float = 1.0
 
     def __post_init__(self):
-        _check_setting(self.phi_x, self.phi_s, self.block, self.coherence)
+        if _check_setting(self.phi_x, self.phi_s, self.block, self.coherence)[2]:
+            raise ContractViolation("a setting's phi_x and phi_s are scalars; raw_probs takes arrays")
 
 
 def _frozen(matrix) -> np.ndarray:

@@ -6,7 +6,7 @@ import math
 import os
 import subprocess
 import sys
-from dataclasses import asdict, replace
+from dataclasses import asdict, fields, is_dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -103,8 +103,18 @@ class TestLoadConfig:
             load_config(write_config(tmp_path, {"scenario": "warp"}))
 
     def test_unknown_field_rejected(self, tmp_path):
-        with pytest.raises(ConfigError, match="unknown"):
+        with pytest.raises(ConfigError, match=r"^config: unknown fields \['extra'\]$"):
             load_config(write_config(tmp_path, {"scenario": "sweep", "extra": 1}))
+
+    def test_every_field_named_gives_the_default_config(self):
+        # the dataclasses' own fields are exactly the names a config may hold, at every level
+        default = config_from_dict({})
+        raw = {f.name: getattr(default, f.name) for f in fields(ExperimentConfig)}
+        for name, section in raw.items():
+            if is_dataclass(section):
+                raw[name] = {f.name: getattr(section, f.name) for f in fields(section)}
+        assert all(isinstance(raw[name], dict) for name in ("plan", "source", "detector", "switch"))
+        assert config_from_dict(raw) == default
 
     def test_malformed_json_reports_position(self, tmp_path):
         path = tmp_path / "broken.json"
@@ -345,6 +355,24 @@ class TestMain:
 
     def test_missing_config_file(self, tmp_path):
         assert main(["sweep", "--config", str(tmp_path / "nope.json")]) == EXIT_CONFIG
+
+    @pytest.mark.parametrize("argv", [["sweep", "--bogus"], ["sweep", "--seed", "abc"], []])
+    def test_usage_errors_exit_1_with_one_line(self, argv, capsys):
+        # argparse's own exit code 2 is the violation code here
+        assert main(argv) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and err.startswith("error: ")
+
+    def test_unknown_plan_field_exits_1_naming_plan(self, tmp_path, capsys):
+        cfg_path = write_config(tmp_path, {"plan": {"bogus": 1}})
+        assert main(["sweep", "--config", str(cfg_path)]) == EXIT_CONFIG
+        assert capsys.readouterr().err == "error: plan: unknown fields ['bogus']\n"
+
+    def test_unwritable_artifact_exits_3_with_one_line(self, tmp_path, capsys):
+        (tmp_path / "o" / "fringes.csv").mkdir(parents=True)  # the output dir exists; an artifact cannot be opened
+        assert main(["sweep", "--mode", "ideal", "--out", str(tmp_path / "o"), "--phi-s", "pi/2"]) == EXIT_IO
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and err.startswith("error: I/O failure: ")
 
     def test_eur_verify_prints_lines(self, tmp_path, capsys):
         code = main(

@@ -204,6 +204,11 @@ class TestGuessingGames:
         assert val == pytest.approx(1.4499843134764958, abs=1e-12)
         assert val == pytest.approx(1.44998, abs=1e-5)
 
+    @pytest.mark.parametrize("n", [2, 3, 10])
+    def test_bound_is_zero_just_above_certainty(self, n):
+        # within ATOL_ALGEBRAIC of 1, GuessingInput accepts it; the radicand is slightly negative
+        assert h_max_guessing_bound(GuessingInput(1.0 + 1e-12, n)) == 0.0
+
     def test_invalid_p_guess(self):
         with pytest.raises(ContractViolation):
             GuessingInput(0.2, 2)

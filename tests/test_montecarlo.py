@@ -216,6 +216,10 @@ class TestRunSweep:
         pinned = RunPlan(phi_s_values=(0.5,), coherence=0.5)
         assert pinned.resolved_coherence("ideal") == 0.5
 
+    def test_unknown_mode_rejected(self):
+        with pytest.raises(ContractViolation, match="mode"):
+            run_sweep(RunPlan(phi_s_values=(0.5,)), SRC, DET, mode="bogus")
+
     def test_zero_pulse_plan(self):
         plan = RunPlan(phi_s_values=(0.5,), pulses_per_point=0, seed=0)
         assert not run_sweep(plan, SRC, DET).any()
@@ -262,6 +266,9 @@ class TestRunSweep:
             RunPlan(phi_s_values=(0.1,), blocks=("nope",))
         with pytest.raises(ContractViolation):
             RunPlan(phi_s_values=(0.1,), seed=-1)
+        for stop in (1.0, 0.5):
+            with pytest.raises(ContractViolation, match="stop must exceed start"):
+                RunPlan(phi_s_values=(0.1,), phi_x_grid=(1.0, stop, 32))
         # grids whose phi_x floats repeat, or overflow stop - start into NaN
         for grid in ((1e20, 1.0000000000000002e20, 32), (-1e308, 1e308, 32)):
             with pytest.raises(ContractViolation, match="strictly increasing"):

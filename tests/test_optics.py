@@ -232,6 +232,11 @@ class TestConfigValidation:
         with pytest.raises(ContractViolation):
             CircuitConfig(math.nan, 0.0)
 
+    @pytest.mark.parametrize("phases", [(0.0, np.zeros(3)), (np.zeros(3), 0.0)])
+    def test_array_phase_rejected(self, phases):
+        with pytest.raises(ContractViolation, match="scalars"):
+            CircuitConfig(*phases)
+
     def test_raw_dispatch(self):
         open_raw = raw_detection_probs(CircuitConfig(0.3, 0.9))
         assert all(type(p) is float for p in open_raw)
